@@ -89,29 +89,19 @@ def _fmt_order(v):
 def matrix_lines(m: MatrixJet):
     """Row-major coefficient tables, one line per nonzero series order."""
     header = f"order: x={_fmt_order(m.x_order)}"
+    label = "x^{k}"
     if m.kind == "bijet":
         header += f" t={_fmt_order(m.t_order)}"
-    lines = [header]
+        label = "x^{k} t^{t}"
+    levels = m.t_levels()
+    nx = max(len(v.coeffs) for lv in levels for row in lv.entries for v in row)
     body = []
-    if m.kind == "jet":
-        n = len(m.entries[0][0].coeffs)
-        for k in range(n):
-            mat = [[m.entries[i][j].coeffs[k] for j in range(m.dim)] for i in range(m.dim)]
+    for k in range(nx):
+        for t, lv in enumerate(levels):
+            mat = [[v.at(k) for v in row] for row in lv.entries]
             if any(v != 0 for row in mat for v in row):
-                body.append(f"x^{k}: " + _mat_text(mat))
-    else:
-        nx = len(m.entries[0][0].coeffs)
-        nt = len(m.entries[0][0].coeffs[0])
-        for k in range(nx):
-            for t in range(nt):
-                mat = [
-                    [m.entries[i][j].coeffs[k][t] for j in range(m.dim)]
-                    for i in range(m.dim)
-                ]
-                if any(v != 0 for row in mat for v in row):
-                    body.append(f"x^{k} t^{t}: " + _mat_text(mat))
-    lines.extend(body if body else ["zero"])
-    return lines
+                body.append(label.format(k=k, t=t) + ": " + _mat_text(mat))
+    return [header] + (body or ["zero"])
 
 
 def _mat_text(mat):

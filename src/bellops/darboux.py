@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedRealizationError,
 )
 from .jets import MatrixJet, log_derivative
-from .operators import DiffOperator, make_ls
+from .operators import DiffOperator, ls_apply, make_ls
 
 
 @dataclass
@@ -123,9 +123,8 @@ def burgers_rhs(L: DiffOperator, s, table: BellTable = None):
     return acc
 
 
-def matveev_psi(psi, s):
-    """Wavefunction transform: psi -> D psi - s psi."""
-    return psi.d() - s * psi
+# wavefunction transform psi -> D psi - s psi
+matveev_psi = ls_apply
 
 
 def transformed_coefficients(L: DiffOperator, s, table: BellTable = None) -> DiffOperator:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .bell import BellTable
 from .errors import ConsistencyError, IndexRangeError, KernelPremiseViolatedError
 from .jets import MatrixJet, log_derivative
-from .operators import DiffOperator
+from .operators import DiffOperator, ls_apply
 
 
 @dataclass
@@ -45,17 +45,19 @@ def divide_right(L: DiffOperator, s, table: BellTable = None) -> DivisionOutcome
     _require_divisible(L)
     table = table or BellTable(s)
     n_top = L.order
-    remainder = L.coeff(0) * table.left(0)
-    for n in range(1, n_top + 1):
-        remainder = remainder + L.coeff(n) * table.left(n)
+    remainder = _right_remainder(L, table)
     quotient = table.h(0).scale(L.coeff(1))
     for n in range(2, n_top + 1):
         quotient = quotient + table.h(n - 1).scale(L.coeff(n))
     return DivisionOutcome(quotient, remainder, "right", remainder.is_zero())
 
 
-def _ls_apply(s, u):
-    return u.d() - s * u
+def _right_remainder(L: DiffOperator, table: BellTable):
+    """r = sum_n a_n B_n(s)."""
+    acc = L.coeff(0) * table.left(0)
+    for n in range(1, L.order + 1):
+        acc = acc + L.coeff(n) * table.left(n)
+    return acc
 
 
 def divide_left(L: DiffOperator, s, table: BellTable = None) -> DivisionOutcome:
@@ -65,8 +67,8 @@ def divide_left(L: DiffOperator, s, table: BellTable = None) -> DivisionOutcome:
     b = [None] * n_top
     b[n_top - 1] = L.coeff(n_top)
     for n in range(n_top - 2, -1, -1):
-        b[n] = L.coeff(n + 1) - _ls_apply(s, b[n + 1])
-    remainder = L.coeff(0) - _ls_apply(s, b[0])
+        b[n] = L.coeff(n + 1) - ls_apply(b[n + 1], s)
+    remainder = L.coeff(0) - ls_apply(b[0], s)
     # independent path: unrolled alternating powers of L_s
     powers = _ls_power_columns(L, s)
     for n in range(n_top):
@@ -97,7 +99,7 @@ def _ls_power_columns(L: DiffOperator, s):
     for k in range(L.order + 1):
         col = [L.coeff(k)]
         for _ in range(k):
-            col.append(_ls_apply(s, col[-1]))
+            col.append(ls_apply(col[-1], s))
         columns[k] = col
     return columns
 
@@ -120,11 +122,7 @@ def riccati_residual(L: DiffOperator, s, side: str, table: BellTable = None):
     """
     _require_divisible(L)
     if side == "right":
-        table = table or BellTable(s)
-        acc = L.coeff(0) * table.left(0)
-        for n in range(1, L.order + 1):
-            acc = acc + L.coeff(n) * table.left(n)
-        return acc
+        return _right_remainder(L, table or BellTable(s))
     if side == "left":
         return _ls_power_remainder(_ls_power_columns(L, s))
     raise ValueError("side must be 'left' or 'right'")

@@ -6,10 +6,14 @@ beyond the stored ones is identically zero, so no operation can exhaust it.
 Binary operations are valid to the minimum of the operand orders and
 differentiation costs one order; both rules are enforced, never silently bent.
 
-:class:`BiJet` is the two-variable analogue (x and t, commuting partials);
+:class:`BiJet` is the two-variable analogue (x and t, commuting partials),
+held as a truncated series in t whose coefficients ("t-levels") are x-jets of
+one shared x-order: the x-order rules above live only in :class:`Jet`, and
+bi-jet operations are level-wise maps over jet operations.
 :class:`MatrixJet` wraps a square matrix of jets (or bi-jets) sharing one set
 of orders and provides the ring operations, the involution
-``a*(x) = a(-x)^T`` and series inversion.
+``a*(x) = a(-x)^T`` and series inversion; a bi-jet matrix splits into its
+t-levels, x-jet matrices that share the entries' jets without copying.
 """
 
 from __future__ import annotations
@@ -79,10 +83,10 @@ class Jet:
         return all(c == 0 for c in self.coeffs)
 
     def truncate(self, order: Optional[int]) -> "Jet":
-        if order is None:
-            if self.order is not None:
-                raise PrecisionExhaustedError("cannot promote a finite-order jet to exact")
+        if order == self.order:
             return self
+        if order is None:
+            raise PrecisionExhaustedError("cannot promote a finite-order jet to exact")
         if self.order is not None and order > self.order:
             raise PrecisionExhaustedError(
                 f"cannot extend valid order {self.order} to {order}"
@@ -154,169 +158,152 @@ class Jet:
 
 
 class BiJet:
-    """Truncated series in x and t with a rectangular valid range."""
+    """Truncated series in t whose coefficients are x-jets of one shared x-order.
 
-    __slots__ = ("coeffs", "x_order", "t_order")
+    ``levels[j]`` is the x-jet multiplying t^j.  The x-order rules live in
+    :class:`Jet`; this class adds only the t-axis ones: binary operations are
+    valid to the minimum t-order, ``dt`` costs one t-order, and an exact t-axis
+    (``t_order=None``) keeps no trailing zero levels.
+    """
 
-    def __init__(self, coeffs, x_order: Optional[int] = None, t_order: Optional[int] = None):
-        rows = [[_frac(c) for c in row] for row in coeffs]
-        if not rows:
-            rows = [[Fraction(0)]]
-        width = max(len(r) for r in rows)
-        for r in rows:
-            r += [Fraction(0)] * (width - len(r))
-        if t_order is not None:
-            if t_order < 0:
-                raise ValueError("t-order must be >= 0")
-            rows = [r[: t_order + 1] + [Fraction(0)] * (t_order + 1 - len(r)) for r in rows]
+    __slots__ = ("levels", "x_order", "t_order")
+
+    def __init__(self, rows, x_order: Optional[int] = None, t_order: Optional[int] = None):
+        """``rows[i][j]`` is the coefficient of x^i t^j."""
+        if t_order is not None and t_order < 0:
+            raise ValueError("t-order must be >= 0")
+        rows = [list(r) for r in rows]
+        nt = max([len(r) for r in rows] + [1])
+        levels = [Jet([r[j] if j < len(r) else 0 for r in rows], x_order) for j in range(nt)]
+        self._set(levels, x_order, t_order)
+
+    def _set(self, levels: list, x_order: Optional[int], t_order: Optional[int]):
+        if t_order is None:
+            while len(levels) > 1 and levels[-1].is_zero():
+                levels.pop()
         else:
-            while width > 1 and all(r[width - 1] == 0 for r in rows):
-                width -= 1
-            rows = [r[:width] for r in rows]
-        if x_order is not None:
-            if x_order < 0:
-                raise ValueError("x-order must be >= 0")
-            rows = rows[: x_order + 1]
-            ncols = len(rows[0]) if rows else 1
-            rows += [[Fraction(0)] * ncols for _ in range(x_order + 1 - len(rows))]
-        else:
-            while len(rows) > 1 and all(c == 0 for c in rows[-1]):
-                rows.pop()
-        self.coeffs = tuple(tuple(r) for r in rows)
+            del levels[t_order + 1:]
+            levels += [Jet((0,), x_order)] * (t_order + 1 - len(levels))
+        self.levels = tuple(levels)
         self.x_order = x_order
         self.t_order = t_order
 
     @classmethod
+    def _of(cls, levels: list, x_order: Optional[int], t_order: Optional[int]) -> "BiJet":
+        """Bi-jet over ``levels``, which must all have x-order ``x_order``."""
+        b = cls.__new__(cls)
+        b._set(levels, x_order, t_order)
+        return b
+
+    @classmethod
     def from_jet(cls, jet: Jet) -> "BiJet":
         """Embed an x-jet as a t-constant bi-jet (exactly known in t)."""
-        return cls([[c] for c in jet.coeffs], jet.order, None)
+        return cls._of([jet], jet.order, None)
 
     @classmethod
     def constant(cls, value) -> "BiJet":
-        return cls([[_frac(value)]], None, None)
+        return cls.from_jet(Jet.constant(value))
+
+    @property
+    def coeffs(self):
+        """x-major grid: ``coeffs[i][j]`` is the coefficient of x^i t^j."""
+        nx = max(len(lv.coeffs) for lv in self.levels)
+        return tuple(tuple(lv.at(i) for lv in self.levels) for i in range(nx))
+
+    def level(self, j: int) -> Jet:
+        """The x-jet multiplying t^j; beyond storage only an exact t-axis may answer."""
+        if j < len(self.levels):
+            return self.levels[j]
+        if self.t_order is not None:
+            raise PrecisionExhaustedError(f"t^{j} beyond valid t-order {self.t_order}")
+        return Jet((0,), self.x_order)
 
     def at(self, i: int, j: int) -> Fraction:
-        if i < len(self.coeffs) and j < len(self.coeffs[0]):
-            return self.coeffs[i][j]
-        if (i >= len(self.coeffs) and self.x_order is not None) or (
-            j >= len(self.coeffs[0]) and self.t_order is not None
-        ):
-            raise PrecisionExhaustedError(
-                f"coefficient x^{i} t^{j} beyond valid range "
-                f"({self.x_order}, {self.t_order})"
-            )
-        return Fraction(0)
+        return self.level(j).at(i)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for row in self.coeffs for c in row)
+        return all(lv.is_zero() for lv in self.levels)
 
     def truncate(self, x_order: Optional[int], t_order: Optional[int]) -> "BiJet":
-        for mine, target, label in ((self.x_order, x_order, "x"), (self.t_order, t_order, "t")):
-            if target is None and mine is not None:
-                raise PrecisionExhaustedError(f"cannot promote finite {label}-order to exact")
-            if target is not None and mine is not None and target > mine:
-                raise PrecisionExhaustedError(
-                    f"cannot extend valid {label}-order {mine} to {target}"
-                )
-        return BiJet(self.coeffs, x_order, t_order)
-
-    def _binary_orders(self, other: "BiJet"):
-        return _omin(self.x_order, other.x_order), _omin(self.t_order, other.t_order)
+        mine = self.t_order
+        if t_order is None and mine is not None:
+            raise PrecisionExhaustedError("cannot promote a finite t-order to exact")
+        if None not in (t_order, mine) and t_order > mine:
+            raise PrecisionExhaustedError(f"cannot extend valid t-order {mine} to {t_order}")
+        if (x_order, t_order) == (self.x_order, self.t_order):
+            return self
+        return BiJet._of([lv.truncate(x_order) for lv in self.levels], x_order, t_order)
 
     @staticmethod
-    def _grid(xo, to, la, lb, wa, wb, mode):
-        nx = (max(la, lb) if mode == "add" else la + lb - 1) if xo is None else xo + 1
-        nt = (max(wa, wb) if mode == "add" else wa + wb - 1) if to is None else to + 1
-        return nx, nt
+    def _operand(other):
+        """``other`` as a bi-jet, or None when it is not a series value."""
+        if isinstance(other, (int, Fraction)):
+            return BiJet.constant(other)
+        if isinstance(other, Jet):
+            return BiJet.from_jet(other)
+        return other if isinstance(other, BiJet) else None
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiJet.constant(other)
-        if isinstance(other, Jet):
-            other = BiJet.from_jet(other)
-        if not isinstance(other, BiJet):
+        other = BiJet._operand(other)
+        if other is None:
             return NotImplemented
-        xo, to = self._binary_orders(other)
-        nx, nt = self._grid(xo, to, len(self.coeffs), len(other.coeffs),
-                            len(self.coeffs[0]), len(other.coeffs[0]), "add")
-        rows = [[self.at(i, j) + other.at(i, j) for j in range(nt)] for i in range(nx)]
-        return BiJet(rows, xo, to)
+        xo, to = _omin(self.x_order, other.x_order), _omin(self.t_order, other.t_order)
+        n = max(len(self.levels), len(other.levels)) if to is None else to + 1
+        return BiJet._of([self.level(j) + other.level(j) for j in range(n)], xo, to)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiJet.constant(other)
-        if isinstance(other, Jet):
-            other = BiJet.from_jet(other)
+        other = BiJet._operand(other)
+        if other is None:
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
-        return BiJet([[-c for c in row] for row in self.coeffs], self.x_order, self.t_order)
+        return BiJet._of([-lv for lv in self.levels], self.x_order, self.t_order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            v = _frac(other)
-            return BiJet([[v * c for c in row] for row in self.coeffs], self.x_order, self.t_order)
-        if isinstance(other, Jet):
-            other = BiJet.from_jet(other)
-        if not isinstance(other, BiJet):
+            return BiJet._of([lv * other for lv in self.levels], self.x_order, self.t_order)
+        other = BiJet._operand(other)
+        if other is None:
             return NotImplemented
-        xo, to = self._binary_orders(other)
-        la, wa = len(self.coeffs), len(self.coeffs[0])
-        lb, wb = len(other.coeffs), len(other.coeffs[0])
-        nx, nt = self._grid(xo, to, la, lb, wa, wb, "mul")
-        rows = []
-        for i in range(nx):
-            row = []
-            for j in range(nt):
-                acc = Fraction(0)
-                for p in range(max(0, i - lb + 1), min(i, la - 1) + 1):
-                    for q in range(max(0, j - wb + 1), min(j, wa - 1) + 1):
-                        acc += self.coeffs[p][q] * other.coeffs[i - p][j - q]
-                row.append(acc)
-            rows.append(row)
-        return BiJet(rows, xo, to)
+        xo, to = _omin(self.x_order, other.x_order), _omin(self.t_order, other.t_order)
+        a, b = self.levels, other.levels
+        n = len(a) + len(b) - 1 if to is None else to + 1
+        out = []
+        for m in range(n):
+            acc = None
+            for p in range(max(0, m - len(b) + 1), min(m, len(a) - 1) + 1):
+                term = a[p] * b[m - p]
+                acc = term if acc is None else acc + term
+            out.append(acc)
+        return BiJet._of(out, xo, to)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        if isinstance(other, Jet):
-            return BiJet.from_jet(other) * self
-        return NotImplemented
+    __rmul__ = __mul__
 
     def dx(self) -> "BiJet":
-        if self.x_order == 0:
-            raise PrecisionExhaustedError("x-derivative of an x-order-0 bi-jet")
-        xo = None if self.x_order is None else self.x_order - 1
-        rows = [[i * c for c in self.coeffs[i]] for i in range(1, len(self.coeffs))]
-        return BiJet(rows or [[Fraction(0)]], xo, self.t_order)
+        levels = [lv.d() for lv in self.levels]
+        return BiJet._of(levels, levels[0].order, self.t_order)
 
     def dt(self) -> "BiJet":
         if self.t_order == 0:
             raise PrecisionExhaustedError("t-derivative of a t-order-0 bi-jet")
         to = None if self.t_order is None else self.t_order - 1
-        rows = [[j * row[j] for j in range(1, len(row))] or [Fraction(0)] for row in self.coeffs]
-        return BiJet(rows, self.x_order, to)
+        levels = [lv * j for j, lv in enumerate(self.levels) if j] or [Jet((0,), self.x_order)]
+        return BiJet._of(levels, self.x_order, to)
 
     def reflect(self) -> "BiJet":
         """x -> -x (t untouched)."""
-        rows = [[-c for c in row] if i % 2 else list(row) for i, row in enumerate(self.coeffs)]
-        return BiJet(rows, self.x_order, self.t_order)
+        return BiJet._of([lv.reflect() for lv in self.levels], self.x_order, self.t_order)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BiJet.constant(other)
-        if isinstance(other, Jet):
-            other = BiJet.from_jet(other)
-        if not isinstance(other, BiJet):
+        other = BiJet._operand(other)
+        if other is None:
             return NotImplemented
-        xo, to = self._binary_orders(other)
-        nx = max(len(self.coeffs), len(other.coeffs)) if xo is None else xo + 1
-        nt = max(len(self.coeffs[0]), len(other.coeffs[0])) if to is None else to + 1
-        return all(
-            self.at(i, j) == other.at(i, j) for i in range(nx) for j in range(nt)
-        )
+        to = _omin(self.t_order, other.t_order)
+        n = max(len(self.levels), len(other.levels)) if to is None else to + 1
+        return all(self.level(j) == other.level(j) for j in range(n))
 
     __hash__ = None
 
@@ -590,67 +577,42 @@ class MatrixJet:
         ]
         return MatrixJet(entries)
 
-    def _t_levels(self):
-        """Decompose a bi-jet matrix into x-jet matrices per power of t."""
-        n_levels = len(self.entries[0][0].coeffs[0])
-        xo = self.x_order
-        levels = []
-        for m in range(n_levels):
-            levels.append(
-                MatrixJet(
-                    [
-                        [
-                            Jet([self.entries[i][j].coeffs[k][m]
-                                 for k in range(len(self.entries[i][j].coeffs))], xo)
-                            for j in range(self.dim)
-                        ]
-                        for i in range(self.dim)
-                    ]
-                )
-            )
-        return levels
+    def t_levels(self):
+        """The x-jet matrices multiplying each power of t (just ``[self]`` for jets)."""
+        if self.kind == "jet":
+            return [self]
+        n = max(len(v.levels) for row in self.entries for v in row)
+        return [MatrixJet([[v.level(m) for v in row] for row in self.entries]) for m in range(n)]
 
     @staticmethod
     def from_t_levels(levels: Sequence["MatrixJet"], t_order: Optional[int]) -> "MatrixJet":
         """Assemble a bi-jet matrix from per-t-power x-jet matrices."""
-        dim = levels[0].dim
         xo = None
         for lv in levels:
             xo = _omin(xo, lv.x_order)
         levels = [lv.truncate(xo) for lv in levels]
-        nx = max(
-            len(lv.entries[i][j].coeffs)
-            for lv in levels
-            for i in range(dim)
-            for j in range(dim)
-        )
-        entries = [
+        dim = levels[0].dim
+        return MatrixJet(
             [
-                BiJet(
-                    [[lv.entries[i][j].at(k) for lv in levels] for k in range(nx)],
-                    xo,
-                    t_order,
-                )
-                for j in range(dim)
+                [BiJet._of([lv.entries[i][j] for lv in levels], xo, t_order) for j in range(dim)]
+                for i in range(dim)
             ]
-            for i in range(dim)
-        ]
-        return MatrixJet(entries)
+        )
 
     def _invert_bijet(self) -> "MatrixJet":
-        levels = self._t_levels()
+        levels = self.t_levels()
         inv0 = levels[0].invert()
         if self.t_order is None:
-            # t-constant input: the inverse is t-constant too
-            return MatrixJet.from_t_levels([inv0], None).truncate(inv0.x_order, None)
+            if len(levels) > 1:
+                raise PrecisionExhaustedError(
+                    "inverting a t-dependent exact series needs a finite t-order"
+                )
+            return inv0.promote()
         out = [inv0]
         for m in range(1, self.t_order + 1):
-            acc = None
-            for j in range(1, min(m, len(levels) - 1) + 1):
-                term = levels[j] * out[m - j]
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = MatrixJet.zeros(self.dim).truncate(inv0.x_order)
+            acc = levels[1] * out[m - 1]
+            for j in range(2, m + 1):
+                acc = acc + levels[j] * out[m - j]
             out.append(-(inv0 * acc))
         return MatrixJet.from_t_levels(out, self.t_order)
 

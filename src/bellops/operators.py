@@ -95,8 +95,8 @@ class DiffOperator:
                     c = comb(k, i)
                     if c != 1:
                         term = term * Fraction(c)
-                    out[power] = out.get(power, None)
-                    out[power] = term if out[power] is None else out[power] + term
+                    prev = out.get(power)
+                    out[power] = term if prev is None else prev + term
         n = max(out) + 1
         zero = self.realization.zero
         return DiffOperator((out.get(k, zero) for k in range(n)), self.realization)
@@ -188,3 +188,8 @@ def d_power_operator(realization, n: int) -> DiffOperator:
 def make_ls(s) -> DiffOperator:
     """The elementary first-order factor D - s."""
     return DiffOperator((-s, s.one_like()), s.realization)
+
+
+def ls_apply(u, s):
+    """L_s(u) = Du - s u: the factor D - s applied to a ring element."""
+    return u.d() - s * u

@@ -30,6 +30,11 @@ from .errors import (
 from .jets import Jet, MatrixJet, x_jet
 from .operators import DiffOperator
 
+# Deepest allowed parenthesis nesting, counting the parentheses of D(...) and
+# D0(...); each level costs a few parser and evaluator frames, so this keeps
+# hostile input far from the interpreter's recursion limit.
+MAX_NESTING = 100
+
 # -- AST ----------------------------------------------------------------------
 
 
@@ -110,6 +115,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.generators = generators
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -159,6 +165,17 @@ class _Parser:
             return PowNode(base, exp)
         return base
 
+    def group(self):
+        """'(' expr ')', nested at most MAX_NESTING deep."""
+        tok = self.take("(")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", tok[2])
+        node = self.sum()
+        self.take(")")
+        self.depth -= 1
+        return node
+
     def atom(self):
         tok = self.peek()
         if tok[0] == "INT":
@@ -172,10 +189,7 @@ class _Parser:
                 value = value / int(den[1])
             return Num(value)
         if tok[0] == "(":
-            self.take()
-            node = self.sum()
-            self.take(")")
-            return node
+            return self.group()
         if tok[0] == "IDENT":
             self.take()
             name = tok[1]
@@ -186,10 +200,7 @@ class _Parser:
                 if self.peek()[0] == "^":
                     self.take()
                     power = int(self.take("INT")[1])
-                self.take("(")
-                inner = self.sum()
-                self.take(")")
-                return DApp(name, power, inner)
+                return DApp(name, power, self.group())
             star = False
             if self.peek()[0] == "STAR":
                 self.take()

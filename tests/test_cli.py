@@ -136,6 +136,19 @@ def test_exit_code_domain_error(tmp_path):
     assert code == 1
 
 
+def test_deep_nesting_is_a_domain_error(tmp_path):
+    deep = "(" * 3000 + "s" + ")" * 3000
+    deep_d = "D(" * 3000 + "s" + ")" * 3000
+    for argv, offset in (
+        (["bell", "--side", "left", "--n", "2", "--s=" + deep], 100),
+        (["darboux", "d2.op", "--s=" + deep], 100),
+        (["bell", "--side", "left", "--n", "1", "--s=" + deep_d], 201),
+    ):
+        code, out, err = run(argv, D2_FILE, tmp_path)
+        assert (code, out) == (1, "")
+        assert err == f"error: parentheses nested deeper than 100 (at offset {offset})\n"
+
+
 def test_help_exit_zero(tmp_path):
     code, out, _ = run(["--help"])
     assert code == 0

@@ -115,6 +115,155 @@ def test_bijet_product():
     assert (x * t) == (t * x)
 
 
+# Independent model of a bi-jet: ({(i, j): coefficient of x^i t^j}, x_order,
+# t_order) with None for an exact axis; keys lie inside the valid range.
+_SCAN = 10  # exact axes are read this far; random operands stay well inside
+
+
+def _model(rows, xo, to):
+    return (
+        {
+            (i, j): F(c)
+            for i, row in enumerate(rows)
+            for j, c in enumerate(row)
+            if c and (xo is None or i <= xo) and (to is None or j <= to)
+        },
+        xo,
+        to,
+    )
+
+
+def _omin(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _in_range(key, xo, to):
+    return (xo is None or key[0] <= xo) and (to is None or key[1] <= to)
+
+
+def _model_add(a, b, sign=1):
+    xo, to = _omin(a[1], b[1]), _omin(a[2], b[2])
+    out = {}
+    for d, f in ((a[0], 1), (b[0], sign)):
+        for key, c in d.items():
+            if _in_range(key, xo, to):
+                out[key] = out.get(key, 0) + f * c
+    return out, xo, to
+
+
+def _model_mul(a, b):
+    xo, to = _omin(a[1], b[1]), _omin(a[2], b[2])
+    out = {}
+    for (p, q), c in a[0].items():
+        for (r, s), e in b[0].items():
+            if _in_range((p + r, q + s), xo, to):
+                out[(p + r, q + s)] = out.get((p + r, q + s), 0) + c * e
+    return out, xo, to
+
+
+def _model_diff(a, axis):
+    orders = [a[1], a[2]]
+    if orders[axis] is not None:
+        orders[axis] -= 1
+    out = {}
+    for key, c in a[0].items():
+        if key[axis]:
+            shifted = list(key)
+            shifted[axis] -= 1
+            out[tuple(shifted)] = key[axis] * c
+    return out, orders[0], orders[1]
+
+
+def _assert_matches(b, model):
+    d, xo, to = model
+    assert (b.x_order, b.t_order) == (xo, to)
+    for i in range((_SCAN if xo is None else xo) + 1):
+        for j in range((_SCAN if to is None else to) + 1):
+            assert b.at(i, j) == d.get((i, j), 0), (i, j)
+    if xo is not None:
+        with pytest.raises(PrecisionExhaustedError):
+            b.at(xo + 1, 0)
+    if to is not None:
+        with pytest.raises(PrecisionExhaustedError):
+            b.at(0, to + 1)
+
+
+def _random_bijet(rng):
+    xo = rng.choice((None, 0, 1, 2, 3, 5))
+    to = rng.choice((None, 0, 1, 2, 4))
+    nx = rng.randint(1, 4) if xo is None else rng.randint(1, xo + 2)
+    nt = rng.randint(1, 3) if to is None else rng.randint(1, to + 2)
+    rows = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(nt)] for _ in range(nx)]
+    return BiJet(rows, xo, to), _model(rows, xo, to)
+
+
+def test_bijet_matches_dict_convolution_oracle():
+    rng = random.Random(2024)
+    for _ in range(150):
+        a, ma = _random_bijet(rng)
+        b, mb = _random_bijet(rng)
+        _assert_matches(a, ma)
+        _assert_matches(a + b, _model_add(ma, mb))
+        _assert_matches(a - b, _model_add(ma, mb, -1))
+        _assert_matches(a * b, _model_mul(ma, mb))
+        _assert_matches(-a, _model_add(({}, None, None), ma, -1))
+        # one-variable jets embed as t-constant bi-jets
+        jo = rng.choice((None, 1, 4))
+        cs = [rng.randint(-2, 2) for _ in range(3)]
+        j, mj = Jet(cs, jo), _model([[c] for c in cs], jo, None)
+        _assert_matches(a + j, _model_add(ma, mj))
+        _assert_matches(j + a, _model_add(ma, mj))
+        _assert_matches(a - j, _model_add(ma, mj, -1))
+        _assert_matches(a * j, _model_mul(ma, mj))
+        _assert_matches(j * a, _model_mul(mj, ma))
+        v = F(rng.randint(-3, 3), 2)
+        mv = _model([[v]], None, None)
+        _assert_matches(a + v, _model_add(ma, mv))
+        _assert_matches(v + a, _model_add(ma, mv))
+        _assert_matches(a - v, _model_add(ma, mv, -1))
+        _assert_matches(a * v, _model_mul(ma, mv))
+        _assert_matches(v * a, _model_mul(ma, mv))
+        for axis, op in ((0, a.dx), (1, a.dt)):
+            if ma[1 + axis] == 0:
+                with pytest.raises(PrecisionExhaustedError):
+                    op()
+            else:
+                _assert_matches(op(), _model_diff(ma, axis))
+        _assert_matches(
+            a.reflect(), ({k: -c if k[0] % 2 else c for k, c in ma[0].items()}, ma[1], ma[2])
+        )
+        assert a.is_zero() == (not ma[0])
+        # equality compares the jointly valid range only
+        same = not any(_model_add(ma, mb, -1)[0].values())
+        assert (a == b) == same and (a != b) != same
+        lower = (ma[1] and ma[1] - 1, ma[2])  # one x-order less where there is one
+        assert a == a.truncate(*lower) and a.truncate(*lower) == a
+
+
+def test_bijet_truncate_and_at_boundaries():
+    b = BiJet([[1, 2], [3, 4]], 1, 1)
+    with pytest.raises(PrecisionExhaustedError):
+        b.truncate(2, 1)
+    with pytest.raises(PrecisionExhaustedError):
+        b.truncate(1, 2)
+    with pytest.raises(PrecisionExhaustedError):
+        b.truncate(None, 1)
+    with pytest.raises(PrecisionExhaustedError):
+        b.truncate(1, None)
+    assert b.truncate(0, 0).at(0, 0) == 1
+    exact = BiJet([[1, 2], [3, 4]])
+    assert exact.at(7, 9) == 0
+    assert exact.truncate(0, None).at(0, 5) == 0
+    with pytest.raises(PrecisionExhaustedError):
+        exact.truncate(0, None).at(1, 0)
+    with pytest.raises(PrecisionExhaustedError):
+        exact.truncate(None, 0).at(0, 1)
+    with pytest.raises(PrecisionExhaustedError):
+        exact.truncate(0, 0).dx()
+    with pytest.raises(PrecisionExhaustedError):
+        exact.truncate(0, 0).dt()
+
+
 # -- matrix jets ---------------------------------------------------------------------
 
 
@@ -217,6 +366,16 @@ def test_invert_bijet():
     inv = m.invert()
     assert m * inv == MatrixJet.identity(2)
     assert inv * m == MatrixJet.identity(2)
+
+
+def test_invert_exact_t_dependent_needs_finite_t_order():
+    one, zero, t = BiJet.constant(1), BiJet.constant(0), BiJet([[0, 1]])
+    m = MatrixJet([[one, t], [zero, one]])
+    with pytest.raises(PrecisionExhaustedError):
+        m.invert()
+    inv = m.truncate(None, 3).invert()
+    assert inv == MatrixJet([[one, -t], [zero, one]])
+    assert m * inv == MatrixJet.identity(2)
 
 
 def test_log_derivative_exp_series():

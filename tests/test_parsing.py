@@ -79,6 +79,17 @@ def test_syntax_error_position():
         parse_expr("")
 
 
+def test_nesting_limit():
+    assert parse("(" * 100 + "s" + ")" * 100) == parse("s")
+    assert parse("D(" * 100 + "s" + ")" * 100) == parse("D^100(s)")
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("s + " + "(" * 101 + "s" + ")" * 101)
+    assert err.value.position == 104
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("(" * 50 + "D(" * 51 + "s" + ")" * 101)
+    assert err.value.position == 151
+
+
 def test_undeclared_generator():
     with pytest.raises(UndeclaredGeneratorError):
         parse_expr("q + s", generators={"s"})
