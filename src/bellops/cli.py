@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Global options pick the ring realization and output mode; subcommands dispatch
-to the kernel.  Exit codes: 0 success, 1 domain error (bad input data, failed
-verification), 2 usage error.  Results go to stdout, diagnostics to stderr.
+to the kernel and return an unrendered :class:`Result`, which :func:`render`
+prints as text or JSON.  Exit codes: 0 success, 1 domain error (bad input data,
+failed verification), 2 usage error.  Results go to stdout, diagnostics to
+stderr.
 """
 
 from __future__ import annotations
@@ -11,55 +13,45 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bell import BellTable
 from .darboux import burgers_rhs, darboux_transform, matveev_verify, time_propagate
 from .division import divide_left, divide_right, riccati_residual
 from .errors import KernelError
 from .free import FreeElement, FreeRing
-from .jets import Jet, MatrixJet, MatrixRealization, x_jet
+from .jets import MatrixJet, MatrixRealization, x_jet
 from .operators import DiffOperator
 from .parsing import parse_element, parse_entry_text, parse_operator_text
-
-
-@dataclass
-class SessionConfig:
-    ring_mode: str
-    generators: tuple
-    matrix_dim: int
-    x_order: int
-    t_order: int
-    output: str
 
 
 class Session:
     """Evaluation context derived from the global options."""
 
-    def __init__(self, config: SessionConfig):
-        self.config = config
-        if config.ring_mode == "free":
-            self.ring = FreeRing(config.generators)
-            self.env = {g: self.ring.gen(g) for g in config.generators}
+    def __init__(self, args):
+        self.args = args
+        if args.ring == "free":
+            generators = tuple(g.strip() for g in args.gens.split(",") if g.strip())
+            self.ring = FreeRing(generators)
+            self.env = {g: self.ring.gen(g) for g in generators}
             self.one = self.ring.one
             self.realization = self.ring
-            self.generator_names = set(config.generators)
+            self.generator_names = set(generators)
         else:
-            if config.matrix_dim < 1:
+            if args.dim < 1:
                 raise KernelError("jet modes need --dim >= 1")
-            if config.x_order < 0:
+            if args.x_order < 0:
                 raise KernelError("jet modes need --x-order >= 0")
-            if config.ring_mode == "bijet" and config.t_order < 0:
+            if args.ring == "bijet" and args.t_order < 0:
                 raise KernelError("bijet mode needs --t-order >= 0")
-            dim = config.matrix_dim
-            x = MatrixJet.diagonal(x_jet(config.x_order), dim)
-            one = MatrixJet.identity(dim)
-            if config.ring_mode == "bijet":
+            x = MatrixJet.diagonal(x_jet(args.x_order), args.dim)
+            one = MatrixJet.identity(args.dim)
+            if args.ring == "bijet":
                 x = x.promote()
                 one = one.promote()
             self.env = {"x": x}
             self.one = one
-            self.realization = MatrixRealization(dim)
+            self.realization = MatrixRealization(args.dim)
             self.generator_names = {"x"}
 
     def element(self, text: str):
@@ -72,11 +64,24 @@ class Session:
                                    self.generator_names)
 
     def seed(self, path: str) -> MatrixJet:
-        if self.config.ring_mode == "free":
+        if self.args.ring == "free":
             raise KernelError("initial-condition files need a jet session (--ring jet)")
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        return parse_entry_text(text, self.config.matrix_dim, self.config.x_order)
+        return parse_entry_text(text, self.args.dim, self.args.x_order)
+
+
+class Result(NamedTuple):
+    """A command's unrendered outcome.
+
+    ``payload`` is what ``--output json`` prints; ``fields`` are the
+    ``(label, value)`` pairs text mode prints, a ``None`` label printing the
+    value bare; ``code`` is the exit code.
+    """
+
+    payload: object
+    fields: list
+    code: int = 0
 
 
 # -- rendering -------------------------------------------------------------------
@@ -108,11 +113,22 @@ def _mat_text(mat):
     return "[" + ", ".join("[" + ", ".join(str(v) for v in row) + "]" for row in mat) + "]"
 
 
-def element_text_lines(value, label: str):
-    """`label: inline` for symbolic elements, an indented block for matrices."""
-    if isinstance(value, FreeElement):
-        return [f"{label}: {value.to_text()}"]
-    return [f"{label}:"] + ["  " + line for line in matrix_lines(value)]
+def text_lines(label, value):
+    """One field as text: `label: value` for yes/no, strings, symbolic elements
+    and operators, `label:` over an indented block for matrices and matrix
+    operators.  A None label prints the value bare."""
+    if isinstance(value, bool):
+        value = "yes" if value else "no"
+    if isinstance(value, DiffOperator) and not (
+        value.is_zero() or isinstance(value.coeff(0), FreeElement)
+    ):
+        block = [line for k in range(value.order, -1, -1)
+                 for line in text_lines(f"a[{k}]", value.coeff(k))]
+    elif isinstance(value, MatrixJet):
+        block = matrix_lines(value)
+    else:
+        return [str(value) if label is None else f"{label}: {value}"]
+    return block if label is None else [f"{label}:"] + ["  " + line for line in block]
 
 
 def element_json(value):
@@ -161,14 +177,25 @@ def operator_json(op: DiffOperator):
     return {"order": op.order, "coeffs": [element_json(op.coeff(k)) for k in range(op.order + 1)]}
 
 
-def operator_text_lines(op: DiffOperator, label: str):
-    if op.is_zero() or isinstance(op.coeff(0), FreeElement):
-        return [f"{label}: {op}"]
-    lines = [f"{label}:"]
-    for k in range(op.order, -1, -1):
-        lines.append(f"  a[{k}]:")
-        lines.extend("    " + line for line in matrix_lines(op.coeff(k)))
-    return lines
+def to_json(value):
+    if isinstance(value, dict):
+        return {key: to_json(v) for key, v in value.items()}
+    if isinstance(value, DiffOperator):
+        return operator_json(value)
+    if isinstance(value, (FreeElement, MatrixJet)):
+        return element_json(value)
+    return value
+
+
+def render(result: Result, output: str, out) -> int:
+    """Print a result in the chosen output mode; returns its exit code."""
+    if output == "json":
+        print(json.dumps(to_json(result.payload)), file=out)
+    else:
+        for label, value in result.fields:
+            for line in text_lines(label, value):
+                print(line, file=out)
+    return result.code
 
 
 def coefficient_list_line(op: DiffOperator) -> str:
@@ -179,16 +206,7 @@ def coefficient_list_line(op: DiffOperator) -> str:
 # -- commands ------------------------------------------------------------------------
 
 
-def _emit(out, lines):
-    for line in lines:
-        print(line, file=out)
-
-
-def _emit_json(out, payload):
-    print(json.dumps(payload), file=out)
-
-
-def cmd_bell(session: Session, args, out) -> int:
+def cmd_bell(session: Session, args) -> Result:
     table = BellTable(session.element(args.s))
     if args.side == "left":
         value = table.left(args.n)
@@ -198,120 +216,65 @@ def cmd_bell(session: Session, args, out) -> int:
         if args.k is None:
             raise KernelError("--side gen requires --k")
         value = table.gen(args.n, args.k)
-    if session.config.output == "json":
-        _emit_json(out, element_json(value))
-    elif isinstance(value, FreeElement):
-        _emit(out, [value.to_text()])
-    else:
-        _emit(out, matrix_lines(value))
-    return 0
+    return Result(value, [(None, value)])
 
 
-def cmd_divide(session: Session, args, out) -> int:
+def cmd_divide(session: Session, args) -> Result:
     op = session.operator(args.operator)
     s = session.element(args.s)
     outcome = divide_right(op, s) if args.side == "right" else divide_left(op, s)
-    if session.config.output == "json":
-        _emit_json(
-            out,
-            {
-                "side": outcome.side,
-                "quotient": operator_json(outcome.quotient),
-                "remainder": element_json(outcome.remainder),
-                "exact": outcome.exact,
-            },
-        )
-        return 0
-    _emit(out, operator_text_lines(outcome.quotient, "quotient"))
-    _emit(out, element_text_lines(outcome.remainder, "remainder"))
-    return 0
+    payload = {"side": outcome.side, "quotient": outcome.quotient,
+               "remainder": outcome.remainder, "exact": outcome.exact}
+    return Result(payload, [("quotient", outcome.quotient), ("remainder", outcome.remainder)])
 
 
-def cmd_factor_check(session: Session, args, out) -> int:
+def cmd_factor_check(session: Session, args) -> Result:
     op = session.operator(args.operator)
     s = session.element(args.s)
     residual = riccati_residual(op, s, args.side)
     exact = residual.is_zero()
-    if session.config.output == "json":
-        _emit_json(out, {"side": args.side, "residual": element_json(residual), "exact": exact})
-        return 0
-    _emit(out, element_text_lines(residual, "residual"))
-    _emit(out, [f"factors: {'yes' if exact else 'no'}"])
-    return 0
+    payload = {"side": args.side, "residual": residual, "exact": exact}
+    return Result(payload, [("residual", residual), ("factors", exact)])
 
 
-def cmd_darboux(session: Session, args, out) -> int:
+def cmd_darboux(session: Session, args) -> Result:
     op = session.operator(args.operator)
     s = session.element(args.s)
     outcome = darboux_transform(op, s)
-    if session.config.output == "json":
-        _emit_json(
-            out,
-            {
-                "transformed": operator_json(outcome.transformed),
-                "remainder": element_json(outcome.remainder),
-                "defect": element_json(outcome.intertwine_defect),
-                "burgers": element_json(outcome.burgers_rhs),
-            },
-        )
-        return 0
+    payload = {"transformed": outcome.transformed, "remainder": outcome.remainder,
+               "defect": outcome.intertwine_defect, "burgers": outcome.burgers_rhs}
     if isinstance(outcome.remainder, FreeElement):
-        _emit(out, [coefficient_list_line(outcome.transformed)])
+        transformed = (None, coefficient_list_line(outcome.transformed))
     else:
-        _emit(out, operator_text_lines(outcome.transformed, "transformed"))
-    _emit(out, element_text_lines(outcome.burgers_rhs, "burgers"))
-    return 0
+        transformed = ("transformed", outcome.transformed)
+    return Result(payload, [transformed, ("burgers", outcome.burgers_rhs)])
 
 
-def cmd_burgers(session: Session, args, out) -> int:
+def cmd_burgers(session: Session, args) -> Result:
     op = session.operator(args.operator)
-    s = session.element(args.s)
-    value = burgers_rhs(op, s)
-    if session.config.output == "json":
-        _emit_json(out, {"burgers": element_json(value)})
-        return 0
-    _emit(out, element_text_lines(value, "burgers"))
-    return 0
+    value = burgers_rhs(op, session.element(args.s))
+    return Result({"burgers": value}, [("burgers", value)])
 
 
-def cmd_propagate(session: Session, args, out) -> int:
+def cmd_propagate(session: Session, args) -> Result:
     op = session.operator(args.operator)
-    phi0 = session.seed(args.phi0)
-    result = time_propagate(op, phi0, args.t_order)
-    if session.config.output == "json":
-        _emit_json(out, element_json(result))
-        return 0
-    _emit(out, matrix_lines(result))
-    return 0
+    result = time_propagate(op, session.seed(args.phi0), args.t_order)
+    return Result(result, [(None, result)])
 
 
-def cmd_verify_matveev(session: Session, args, out) -> int:
+def cmd_verify_matveev(session: Session, args) -> Result:
     op = session.operator(args.operator)
     phi0 = session.seed(args.phi0)
     psi0 = session.seed(args.psi0)
     report = matveev_verify(op, phi0, psi0, args.t_order)
-    if session.config.output == "json":
-        _emit_json(
-            out,
-            {
-                "ok": report.ok,
-                "residual_zero": report.residual.is_zero(),
-                "burgers_zero": report.burgers_residual.is_zero(),
-                "x_order": report.residual.x_order,
-                "t_order": report.residual.t_order,
-            },
-        )
-    else:
-        _emit(
-            out,
-            [
-                f"residual-zero: {'yes' if report.residual.is_zero() else 'no'}",
-                f"burgers-zero: {'yes' if report.burgers_residual.is_zero() else 'no'}",
-                f"valid-range: x={_fmt_order(report.residual.x_order)} "
-                f"t={_fmt_order(report.residual.t_order)}",
-            ],
-        )
-    return 0 if report.ok else 1
+    residual_zero = report.residual.is_zero()
+    burgers_zero = report.burgers_residual.is_zero()
+    x_order, t_order = report.residual.x_order, report.residual.t_order
+    payload = {"ok": report.ok, "residual_zero": residual_zero, "burgers_zero": burgers_zero,
+               "x_order": x_order, "t_order": t_order}
+    fields = [("residual-zero", residual_zero), ("burgers-zero", burgers_zero),
+              ("valid-range", f"x={_fmt_order(x_order)} t={_fmt_order(t_order)}")]
+    return Result(payload, fields, 0 if report.ok else 1)
 
 
 # -- argument wiring --------------------------------------------------------------------
@@ -385,17 +348,8 @@ def run_command(argv, stdout=None, stderr=None) -> int:
             args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return int(exc.code or 0)
-    config = SessionConfig(
-        ring_mode=args.ring,
-        generators=tuple(g.strip() for g in args.gens.split(",") if g.strip()),
-        matrix_dim=args.dim,
-        x_order=args.x_order,
-        t_order=args.t_order,
-        output=args.output,
-    )
     try:
-        session = Session(config)
-        return args.handler(session, args, out)
+        return render(args.handler(Session(args), args), args.output, out)
     except (KernelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 1

@@ -164,23 +164,22 @@ class FreeElement:
         c = _coerce_scalar(value)
         return FreeElement(self.ring, {w: c * v for w, v in self._terms.items()})
 
-    def d(self) -> "FreeElement":
-        """Main derivation: Leibniz sum of per-letter d-increments."""
+    def _leibniz(self, bump) -> "FreeElement":
+        """Sum over each word's letters of the word with that letter bumped."""
         terms: dict = {}
         for w, c in self._terms.items():
             for i, letter in enumerate(w):
-                nw = w[:i] + (letter._replace(d=letter.d + 1),) + w[i + 1 :]
+                nw = w[:i] + (bump(letter),) + w[i + 1 :]
                 terms[nw] = terms.get(nw, Fraction(0)) + c
         return FreeElement(self.ring, terms)
 
+    def d(self) -> "FreeElement":
+        """Main derivation: Leibniz sum of per-letter d-increments."""
+        return self._leibniz(lambda l: Letter(l.gen, l.star, l.d0, l.d + 1))
+
     def d0(self) -> "FreeElement":
         """Second derivation; commutes with :meth:`d` letter by letter."""
-        terms: dict = {}
-        for w, c in self._terms.items():
-            for i, letter in enumerate(w):
-                nw = w[:i] + (letter._replace(d0=letter.d0 + 1),) + w[i + 1 :]
-                terms[nw] = terms.get(nw, Fraction(0)) + c
-        return FreeElement(self.ring, terms)
+        return self._leibniz(lambda l: Letter(l.gen, l.star, l.d0 + 1, l.d))
 
     def star(self) -> "FreeElement":
         """Involution: reverse words, star letters, sign by total d-count."""

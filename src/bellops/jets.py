@@ -105,7 +105,12 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else Jet.constant(-_frac(other)))
+        if not isinstance(other, (int, Fraction, Jet)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
 
     def __neg__(self):
         return Jet((-c for c in self.coeffs), self.order)
@@ -258,6 +263,9 @@ class BiJet:
         if other is None:
             return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
 
     def __neg__(self):
         return BiJet._of([-lv for lv in self.levels], self.x_order, self.t_order)

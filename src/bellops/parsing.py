@@ -10,6 +10,7 @@ Grammar (whitespace insensitive, products keep their written order):
     NUM    := INT ('/' INT)?
 
 The star suffix token is ``*'`` so it cannot collide with multiplication.
+Exponents (``^INT``, ``D^INT``, ``D0^INT``) are at most ``MAX_POWER``.
 Operator files hold ``a[<k>] = <expr>`` lines; initial-condition files hold
 ``entry[<i>][<j>] = <polynomial in x>`` lines.  ``#`` starts a comment.
 """
@@ -34,6 +35,10 @@ from .operators import DiffOperator
 # D0(...); each level costs a few parser and evaluator frames, so this keeps
 # hostile input far from the interpreter's recursion limit.
 MAX_NESTING = 100
+
+# Largest allowed exponent in ``^k``, ``D^k`` and ``D0^k``; a bigger one is a
+# syntax error before any ring work starts.
+MAX_POWER = 1000
 
 # -- AST ----------------------------------------------------------------------
 
@@ -160,10 +165,17 @@ class _Parser:
     def factor(self):
         base = self.atom()
         if self.peek()[0] == "^":
-            self.take()
-            exp = int(self.take("INT")[1])
-            return PowNode(base, exp)
+            return PowNode(base, self.power())
         return base
+
+    def power(self):
+        """'^' INT, with the integer at most MAX_POWER."""
+        self.take("^")
+        tok = self.take("INT")
+        digits = tok[1].lstrip("0") or "0"
+        if len(digits) > len(str(MAX_POWER)) or int(digits) > MAX_POWER:
+            raise ExprSyntaxError(f"exponent larger than {MAX_POWER}", tok[2])
+        return int(digits)
 
     def group(self):
         """'(' expr ')', nested at most MAX_NESTING deep."""
@@ -196,10 +208,7 @@ class _Parser:
             if name == "e":
                 return UnitE()
             if name in ("D", "D0"):
-                power = 1
-                if self.peek()[0] == "^":
-                    self.take()
-                    power = int(self.take("INT")[1])
+                power = self.power() if self.peek()[0] == "^" else 1
                 return DApp(name, power, self.group())
             star = False
             if self.peek()[0] == "STAR":
@@ -245,10 +254,15 @@ def evaluate(node, env, one):
                 value = value.d0()
         return value
     if isinstance(node, PowNode):
+        # binary powering: powers of one element commute, so this is exact
         base = evaluate(node.base, env, one)
-        value = one
-        for _ in range(node.exponent):
-            value = value * base
+        value, k = one, node.exponent
+        while k:
+            if k & 1:
+                value = value * base
+            k >>= 1
+            if k:
+                base = base * base
         return value
     if isinstance(node, Product):
         value = evaluate(node.factors[0], env, one)

@@ -2,7 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import bellops
 from bellops.cli import run_command
 
 
@@ -19,6 +26,18 @@ def run(argv, files=None, tmp_path=None):
 
 
 D2_FILE = {"d2.op": "a[2] = e\n"}
+
+# Recorded CLI runs: every command in both output modes on the free ring and on
+# jet/bijet sessions where it is defined, plus domain (exit 1) and usage (exit 2)
+# errors.  File names in argv refer to GOLDENS["files"].
+GOLDENS = json.loads((Path(__file__).parent / "cli_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDENS["cases"], ids=lambda c: " ".join(c["argv"]))
+def test_cli_golden_matrix(case, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to this width
+    code, out, err = run(case["argv"], GOLDENS["files"], tmp_path)
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
 
 
 def test_golden_bell(tmp_path):
@@ -147,6 +166,18 @@ def test_deep_nesting_is_a_domain_error(tmp_path):
         code, out, err = run(argv, D2_FILE, tmp_path)
         assert (code, out) == (1, "")
         assert err == f"error: parentheses nested deeper than 100 (at offset {offset})\n"
+
+
+def test_huge_exponent_is_a_domain_error(tmp_path):
+    """A fresh interpreter with a deadline, so a regression fails instead of hanging."""
+    path = tmp_path / "huge.op"
+    path.write_text("a[2] = e\na[0] = s^99999999\n")
+    src = str(Path(bellops.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "bellops", "darboux", str(path)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: line 2: exponent larger than 1000 (at offset 2)\n"
 
 
 def test_help_exit_zero(tmp_path):

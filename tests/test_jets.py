@@ -205,6 +205,7 @@ def test_bijet_matches_dict_convolution_oracle():
         _assert_matches(a, ma)
         _assert_matches(a + b, _model_add(ma, mb))
         _assert_matches(a - b, _model_add(ma, mb, -1))
+        _assert_matches(b - a, _model_add(mb, ma, -1))
         _assert_matches(a * b, _model_mul(ma, mb))
         _assert_matches(-a, _model_add(({}, None, None), ma, -1))
         # one-variable jets embed as t-constant bi-jets
@@ -214,6 +215,7 @@ def test_bijet_matches_dict_convolution_oracle():
         _assert_matches(a + j, _model_add(ma, mj))
         _assert_matches(j + a, _model_add(ma, mj))
         _assert_matches(a - j, _model_add(ma, mj, -1))
+        _assert_matches(j - a, _model_add(mj, ma, -1))
         _assert_matches(a * j, _model_mul(ma, mj))
         _assert_matches(j * a, _model_mul(mj, ma))
         v = F(rng.randint(-3, 3), 2)
@@ -223,6 +225,14 @@ def test_bijet_matches_dict_convolution_oracle():
         _assert_matches(a - v, _model_add(ma, mv, -1))
         _assert_matches(a * v, _model_mul(ma, mv))
         _assert_matches(v * a, _model_mul(ma, mv))
+        _assert_matches(v - a, _model_add(mv, ma, -1))
+        n = rng.randint(-3, 3)
+        mn = _model([[n]], None, None)
+        _assert_matches(n + a, _model_add(mn, ma))
+        _assert_matches(n - a, _model_add(mn, ma, -1))
+        _assert_matches(n * a, _model_mul(mn, ma))
+        _assert_matches(BiJet.from_jet(n - j), _model_add(mn, mj, -1))
+        _assert_matches(BiJet.from_jet(j - n), _model_add(mj, mn, -1))
         for axis, op in ((0, a.dx), (1, a.dt)):
             if ma[1 + axis] == 0:
                 with pytest.raises(PrecisionExhaustedError):

@@ -1,5 +1,6 @@
 """Expression grammar, file formats and the print/parse round-trip."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from bellops import (
     BellTable,
     DuplicateIndexError,
+    MatrixJet,
     ExprSyntaxError,
     FreeRing,
     Jet,
@@ -15,6 +17,7 @@ from bellops import (
     d_power_operator,
 )
 from bellops.parsing import (
+    MAX_POWER,
     DApp,
     GenRef,
     Num,
@@ -27,6 +30,8 @@ from bellops.parsing import (
     parse_expr,
     parse_operator_text,
 )
+
+from helpers import random_element, random_matrix_jet
 
 RING = FreeRing(("s", "u", "a0", "a1", "a2", "a3", "a4"))
 ENV = {g: RING.gen(g) for g in RING.generators}
@@ -88,6 +93,29 @@ def test_nesting_limit():
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr("(" * 50 + "D(" * 51 + "s" + ")" * 101)
     assert err.value.position == 151
+
+
+def test_power_limit():
+    assert MAX_POWER == 1000
+    assert parse_expr("s^1000") == PowNode(GenRef("s"), 1000)
+    assert parse_expr("D^0001000(s)") == DApp("D", 1000, GenRef("s"))
+    for text, offset in (("s^1001", 2), ("u + D^1001(s)", 6), ("D0^99999999(s)", 3),
+                         ("(s)^" + "9" * 5000, 4)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text)
+        assert err.value.position == offset
+        assert "exponent larger than 1000" in str(err.value)
+
+
+def test_binary_powering_matches_repeated_products():
+    rng = random.Random(7)
+    free = random_element(rng, RING, ["s", "u"], max_terms=2)
+    matrix = random_matrix_jet(rng, 2, 5)
+    for value, one in ((free, RING.one), (matrix, MatrixJet.identity(2))):
+        expected = one
+        for k in range(13):
+            assert parse_element(f"m^{k}", {"m": value}, one, {"m"}) == expected
+            expected = expected * value
 
 
 def test_undeclared_generator():
