@@ -1,8 +1,9 @@
 """Matrix-valued truncated power series: the analytic ring realization.
 
-A :class:`Jet` stores rational coefficients of x^0..x^J together with its
-valid order J.  ``order=None`` marks an *exact* polynomial: every coefficient
-beyond the stored ones is identically zero, so no operation can exhaust it.
+A :class:`Jet` stores the rational coefficients of x^0..x^J, as integer
+numerators over one common denominator, together with its valid order J.
+``order=None`` marks an *exact* polynomial: every coefficient beyond the
+stored ones is identically zero, so no operation can exhaust it.
 Binary operations are valid to the minimum of the operand orders and
 differentiation costs one order; both rules are enforced, never silently bent.
 
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -47,40 +50,118 @@ def _omin(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return min(a, b)
 
 
-class Jet:
-    """Truncated power series in one variable with exact coefficients."""
+# -- integer convolution ------------------------------------------------------------
 
-    __slots__ = ("coeffs", "order")
+# Shortest operand length at which a product packs both operands into single
+# integers (Kronecker substitution) instead of summing coefficient products.
+KRONECKER_MIN_LEN = 8
+
+
+def _schoolbook(a: Sequence[int], b: Sequence[int], n: int) -> list:
+    """First ``n`` coefficients of the product of integer polynomials ``a`` and ``b``."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = [0] * n
+    for i, v in enumerate(a[:n]):
+        if v:
+            row = b[: n - i]
+            out[i:i + len(row)] = map(add, out[i:i + len(row)], map(v.__mul__, row))
+    return out
+
+
+def _kronecker(a: Sequence[int], b: Sequence[int], n: int) -> list:
+    """``_schoolbook(a, b, n)`` by one big-integer product.
+
+    Every coefficient goes into a slot of ``nb`` bytes, wide enough for any
+    product coefficient plus a sign bit.  Adding half a slot (``h``) to every
+    slot makes all digits non-negative, so signed values pack and unpack through
+    plain little-endian bytes with no carries between slots.
+    """
+    la, lb = len(a), len(b)
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(la, lb).bit_length())
+    nb = bits // 8 + 1
+    h = 1 << (8 * nb - 1)
+    half = b"\0" * (nb - 1) + b"\x80"
+    m = la + lb - 1
+
+    def pack(cs):
+        data = b"".join([(c + h).to_bytes(nb, "little") for c in cs])
+        return int.from_bytes(data, "little") - int.from_bytes(half * len(cs), "little")
+
+    data = (pack(a) * pack(b) + int.from_bytes(half * m, "little")).to_bytes(m * nb, "little")
+    out = [int.from_bytes(data[k * nb:(k + 1) * nb], "little") - h for k in range(min(n, m))]
+    return out + [0] * (n - len(out))
+
+
+def _significant(cs: Sequence[int], n: int) -> Sequence[int]:
+    """The first ``n`` entries of ``cs`` without trailing zeros (at least one entry)."""
+    k = min(len(cs), n)
+    while k > 1 and not cs[k - 1]:
+        k -= 1
+    return cs[:k]
+
+
+class Jet:
+    """Truncated power series in one variable with exact coefficients.
+
+    The coefficient of x^k is ``nums[k] / den``: integer numerators over one
+    positive denominator, in lowest terms (``gcd(den, *nums) == 1``), so equal
+    exact jets have equal ``(nums, den)``.  Fractions appear only at the API
+    boundary (the constructor, :meth:`at` and :attr:`coeffs`).
+    """
+
+    __slots__ = ("nums", "den", "order")
 
     def __init__(self, coeffs: Iterable, order: Optional[int] = None):
+        if order is not None and order < 0:
+            raise ValueError("jet order must be >= 0")
         cs = [_frac(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den, order)
+
+    def _set(self, nums: list, den: int, order: Optional[int]):
         if order is None:
-            while len(cs) > 1 and cs[-1] == 0:
-                cs.pop()
-            if not cs:
-                cs = [Fraction(0)]
+            k = len(nums)
+            while k > 1 and not nums[k - 1]:
+                k -= 1
+            nums = nums[:k] or [0]
         else:
-            if order < 0:
-                raise ValueError("jet order must be >= 0")
-            cs = cs[: order + 1]
-            cs += [Fraction(0)] * (order + 1 - len(cs))
-        self.coeffs = tuple(cs)
+            nums = nums[: order + 1] + [0] * (order + 1 - len(nums))
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [v // g for v in nums]
+            den //= g
+        self.nums = tuple(nums)
+        self.den = den
         self.order = order
+
+    @classmethod
+    def _of(cls, nums: list, den: int, order: Optional[int]) -> "Jet":
+        """Jet of ``nums / den`` at ``order``; reduces, pads and truncates."""
+        j = cls.__new__(cls)
+        j._set(nums, den, order)
+        return j
 
     @classmethod
     def constant(cls, value) -> "Jet":
         return cls((_frac(value),), None)
 
+    @property
+    def coeffs(self) -> tuple:
+        """The stored coefficients of x^0, x^1, ... as Fractions."""
+        return tuple(Fraction(v, self.den) for v in self.nums)
+
     def at(self, k: int) -> Fraction:
         """Coefficient of x^k; beyond storage only exact jets may answer."""
-        if k < len(self.coeffs):
-            return self.coeffs[k]
+        if k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
         if self.order is None:
             return Fraction(0)
         raise PrecisionExhaustedError(f"coefficient x^{k} beyond valid order {self.order}")
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def truncate(self, order: Optional[int]) -> "Jet":
         if order == self.order:
@@ -91,7 +172,7 @@ class Jet:
             raise PrecisionExhaustedError(
                 f"cannot extend valid order {self.order} to {order}"
             )
-        return Jet(self.coeffs[: order + 1], order)
+        return Jet._of(list(self.nums), self.den, order)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -99,8 +180,17 @@ class Jet:
         if not isinstance(other, Jet):
             return NotImplemented
         o = _omin(self.order, other.order)
-        n = max(len(self.coeffs), len(other.coeffs)) if o is None else o + 1
-        return Jet((self.at(k) + other.at(k) for k in range(n)), o)
+        n = max(len(self.nums), len(other.nums)) if o is None else o + 1
+        a, b = self.nums[:n], other.nums[:n]
+        da, db = self.den, other.den
+        if da != db:
+            g = gcd(da, db)
+            a = [v * (db // g) for v in a]
+            b = [v * (da // g) for v in b]
+            da = da // g * db
+        if len(a) < len(b):
+            a, b = b, a
+        return Jet._of([v + w for v, w in zip(a, b)] + list(a[len(b):]), da, o)
 
     __radd__ = __add__
 
@@ -113,23 +203,20 @@ class Jet:
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Jet((-c for c in self.coeffs), self.order)
+        return Jet._of([-v for v in self.nums], self.den, self.order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Jet((_frac(other) * c for c in self.coeffs), self.order)
+            q = _frac(other)
+            nums = [v * q.numerator for v in self.nums]
+            return Jet._of(nums, self.den * q.denominator, self.order)
         if not isinstance(other, Jet):
             return NotImplemented
         o = _omin(self.order, other.order)
-        n = len(self.coeffs) + len(other.coeffs) - 1 if o is None else o + 1
-        la, lb = len(self.coeffs), len(other.coeffs)
-        out = []
-        for k in range(n):
-            acc = Fraction(0)
-            for i in range(max(0, k - lb + 1), min(k, la - 1) + 1):
-                acc += self.coeffs[i] * other.coeffs[k - i]
-            out.append(acc)
-        return Jet(out, o)
+        n = len(self.nums) + len(other.nums) - 1 if o is None else o + 1
+        a, b = _significant(self.nums, n), _significant(other.nums, n)
+        conv = _kronecker if min(len(a), len(b)) >= KRONECKER_MIN_LEN else _schoolbook
+        return Jet._of(conv(a, b, n), self.den * other.den, o)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -140,11 +227,11 @@ class Jet:
         if self.order == 0:
             raise PrecisionExhaustedError("derivative of an order-0 jet")
         o = None if self.order is None else self.order - 1
-        return Jet((k * self.coeffs[k] for k in range(1, len(self.coeffs))), o)
+        return Jet._of([k * v for k, v in enumerate(self.nums) if k], self.den, o)
 
     def reflect(self) -> "Jet":
         """x -> -x: flip the sign of odd coefficients."""
-        return Jet(((-c if k % 2 else c) for k, c in enumerate(self.coeffs)), self.order)
+        return Jet._of([-v if k % 2 else v for k, v in enumerate(self.nums)], self.den, self.order)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -153,8 +240,13 @@ class Jet:
             return NotImplemented
         o = _omin(self.order, other.order)
         if o is None:
-            return self.coeffs == other.coeffs
-        return all(self.at(k) == other.at(k) for k in range(o + 1))
+            return self.nums == other.nums and self.den == other.den
+        # only an exact operand can store fewer than o + 1 coefficients
+        a, b = self.nums[: o + 1], other.nums[: o + 1]
+        a += (0,) * (o + 1 - len(a))
+        b += (0,) * (o + 1 - len(b))
+        da, db = self.den, other.den
+        return all(v * db == w * da for v, w in zip(a, b))
 
     __hash__ = None
 
@@ -212,7 +304,7 @@ class BiJet:
     @property
     def coeffs(self):
         """x-major grid: ``coeffs[i][j]`` is the coefficient of x^i t^j."""
-        nx = max(len(lv.coeffs) for lv in self.levels)
+        nx = max(len(lv.nums) for lv in self.levels)
         return tuple(tuple(lv.at(i) for lv in self.levels) for i in range(nx))
 
     def level(self, j: int) -> Jet:
@@ -324,14 +416,6 @@ class BiJet:
 
 def _mat_identity(n: int):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
 
 
 def _mat_inv(a):
@@ -545,45 +629,35 @@ class MatrixJet:
 
     # -- series inversion ------------------------------------------------------------
 
-    def _x_coefficient_matrices(self):
-        n_terms = max(len(self.entries[i][j].coeffs) for i in range(self.dim) for j in range(self.dim))
-        return [
-            [[self.entries[i][j].at(k) for j in range(self.dim)] for i in range(self.dim)]
-            for k in range(n_terms)
-        ]
-
     def invert(self) -> "MatrixJet":
         """Multiplicative inverse to the stored truncation order.
 
         The constant (x=0, t=0) matrix must be invertible.  Exact inputs must
         be constant: a non-constant polynomial has no polynomial inverse, so a
-        finite truncation order is required first.
+        finite truncation order is required first.  Finite orders use Newton
+        iteration X <- X(2I - AX) from the inverse of the constant matrix,
+        doubling the valid order at each step.
         """
         if self.kind == "bijet":
             return self._invert_bijet()
-        mats = self._x_coefficient_matrices()
+        const = [[v.at(0) for v in row] for row in self.entries]
         if self.x_order is None:
-            if len(mats) > 1:
+            if any(len(v.nums) > 1 for row in self.entries for v in row):
                 raise PrecisionExhaustedError(
                     "inverting a non-constant exact series needs a finite truncation order"
                 )
-            return MatrixJet.constant(_mat_inv(mats[0]))
-        inv0 = _mat_inv(mats[0])
-        out = [inv0]
-        for k in range(1, self.x_order + 1):
-            acc = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-            for j in range(1, min(k, len(mats) - 1) + 1):
-                prod = _mat_mul(mats[j], out[k - j])
-                for r in range(self.dim):
-                    for c in range(self.dim):
-                        acc[r][c] += prod[r][c]
-            neg = _mat_mul(inv0, acc)
-            out.append([[-v for v in row] for row in neg])
-        entries = [
-            [Jet([out[k][i][j] for k in range(len(out))], self.x_order) for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
-        return MatrixJet(entries)
+            return MatrixJet.constant(_mat_inv(const))
+        x, k = MatrixJet([[Jet((v,), 0) for v in row] for row in _mat_inv(const)]), 0
+        two = MatrixJet.identity(self.dim) * 2
+        while k < self.x_order:
+            k2 = min(2 * k + 1, self.x_order)
+            # X ≡ A⁻¹ mod x^{k+1} implies X(2I − AX) ≡ A⁻¹ mod x^{2k+2}, so the
+            # iterate, valid to order k, is lifted to order k2 <= 2k + 1 here:
+            # the one place the order ledger is extended.
+            x = MatrixJet([[Jet._of(list(v.nums), v.den, k2) for v in row] for row in x.entries])
+            x = x * (two - self.truncate(k2) * x)
+            k = k2
+        return x
 
     def t_levels(self):
         """The x-jet matrices multiplying each power of t (just ``[self]`` for jets)."""

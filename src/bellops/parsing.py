@@ -10,7 +10,8 @@ Grammar (whitespace insensitive, products keep their written order):
     NUM    := INT ('/' INT)?
 
 The star suffix token is ``*'`` so it cannot collide with multiplication.
-Exponents (``^INT``, ``D^INT``, ``D0^INT``) are at most ``MAX_POWER``.
+Exponents (``^INT``, ``D^INT``, ``D0^INT``) are at most ``MAX_POWER``; integer
+literals in ``NUM`` are at most ``MAX_DIGITS`` digits long.
 Operator files hold ``a[<k>] = <expr>`` lines; initial-condition files hold
 ``entry[<i>][<j>] = <polynomial in x>`` lines.  ``#`` starts a comment.
 """
@@ -39,6 +40,10 @@ MAX_NESTING = 100
 # Largest allowed exponent in ``^k``, ``D^k`` and ``D0^k``; a bigger one is a
 # syntax error before any ring work starts.
 MAX_POWER = 1000
+
+# Longest allowed integer literal, numerator or denominator, in digits (leading
+# zeros count); Python refuses to convert decimal strings over 4300 digits.
+MAX_DIGITS = 1000
 
 # -- AST ----------------------------------------------------------------------
 
@@ -188,17 +193,23 @@ class _Parser:
         self.depth -= 1
         return node
 
+    def literal(self):
+        """INT, at most MAX_DIGITS digits long: (value, offset)."""
+        tok = self.take("INT")
+        if len(tok[1]) > MAX_DIGITS:
+            raise ExprSyntaxError(f"numeric literal longer than {MAX_DIGITS} digits", tok[2])
+        return int(tok[1]), tok[2]
+
     def atom(self):
         tok = self.peek()
         if tok[0] == "INT":
-            self.take()
-            value = Fraction(int(tok[1]))
+            value = Fraction(self.literal()[0])
             if self.peek()[0] == "/":
                 self.take()
-                den = self.take("INT")
-                if int(den[1]) == 0:
-                    raise ExprSyntaxError("zero denominator", den[2])
-                value = value / int(den[1])
+                den, at = self.literal()
+                if den == 0:
+                    raise ExprSyntaxError("zero denominator", at)
+                value = value / den
             return Num(value)
         if tok[0] == "(":
             return self.group()

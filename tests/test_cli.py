@@ -180,6 +180,21 @@ def test_huge_exponent_is_a_domain_error(tmp_path):
     assert proc.stderr == "error: line 2: exponent larger than 1000 (at offset 2)\n"
 
 
+def test_long_literal_is_a_domain_error(tmp_path):
+    """Literals past Python's own 4300-digit conversion limit fail at their offset."""
+    long = "7" * 5000
+    for argv, offset in (
+        (["bell", "--side", "left", "--n", "1", "--s", long], 0),
+        (["bell", "--side", "left", "--n", "1", "--s", "s + 1/" + long], 6),
+        (["bell", "--side", "left", "--n", "1", "--s", "0" * 1001], 0),
+    ):
+        code, out, err = run(argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: numeric literal longer than 1000 digits (at offset {offset})\n"
+    code, out, _ = run(["bell", "--side", "left", "--n", "1", "--s", "1/" + "7" * 1000])
+    assert code == 0 and out.startswith("1/777")
+
+
 def test_help_exit_zero(tmp_path):
     code, out, _ = run(["--help"])
     assert code == 0

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from bellops import (
     log_derivative,
     x_jet,
 )
+from bellops import jets as jet_kernel
 from helpers import random_matrix_jet
 
 jets = st.lists(st.integers(-3, 3), min_size=3, max_size=7).map(
@@ -413,3 +415,137 @@ def test_log_derivative_of_constant_is_zero():
 def test_dimension_mismatch():
     with pytest.raises(RealizationMismatchError):
         MatrixJet.identity(2) + MatrixJet.identity(3)
+
+
+# -- dim-1 oracle: sympy series -------------------------------------------------------
+
+
+def _series_jet(sympy, expr, x, order):
+    """The Taylor coefficients of ``expr`` at x = 0, from sympy, as a jet of ``order``."""
+    # one rational function in lowest terms expands much faster than a product or quotient
+    s = sympy.series(sympy.cancel(expr), x, 0, order + 1).removeO()
+    cs = (sympy.Rational(s.coeff(x, k)) for k in range(order + 1))
+    return Jet([F(int(c.p), int(c.q)) for c in cs], order)
+
+
+def _poly_jet(sympy, expr, x):
+    """An exact jet of the polynomial ``expr``."""
+    cs = reversed(sympy.Poly(expr, x).all_coeffs())
+    return Jet([F(int(c.p), int(c.q)) for c in cs])
+
+
+def test_dim1_products_inverse_log_derivative_match_sympy_series():
+    sympy = pytest.importorskip("sympy")
+    x, R = sympy.symbols("x"), sympy.Rational
+    rng = random.Random(17)
+    p = R(3, 7) + R(2, 5) * x - R(1, 3) * x**3 + R(5, 11) * x**4
+    q = R(1, 2) - R(7, 3) * x**2 + R(2, 9) * x**5
+    f, g = q / p, (R(-4, 5) + R(1, 6) * x) / (1 + R(2, 3) * x - R(3, 8) * x**2)
+    order = 40
+    jf, jg = _series_jet(sympy, f, x, order), _series_jet(sympy, g, x, order)
+    for a, b, expected in (
+        (jf, jg, _series_jet(sympy, f * g, x, order)),
+        (jf.truncate(17), jg, _series_jet(sympy, f * g, x, 17)),
+        (_poly_jet(sympy, q, x), jf, _series_jet(sympy, q * f, x, order)),
+    ):
+        assert (a * b).order == expected.order
+        assert a * b == expected and b * a == expected
+    # exact polynomial products on both sides of the Kronecker threshold
+    for degree in (3, 12, 40):
+        u, v = (sum(R(rng.randint(-9, 9), rng.randint(1, 9)) * x**k for k in range(degree + 1))
+                for _ in range(2))
+        product = _poly_jet(sympy, u, x) * _poly_jet(sympy, v, x)
+        assert product == _poly_jet(sympy, sympy.expand(u * v), x)
+    phi = MatrixJet.scalar(jf)
+    inv = phi.invert()
+    assert inv.x_order == order
+    assert inv == MatrixJet.scalar(_series_jet(sympy, 1 / f, x, order))
+    s = sympy.diff(f, x) / f
+    for side, sign in (("right", 1), ("left", -1)):
+        got = log_derivative(phi, side)
+        assert got.x_order == order - 1
+        assert got == MatrixJet.scalar(_series_jet(sympy, sign * s, x, order - 1))
+
+
+# -- the integer kernel's fast paths and invariants ------------------------------------
+
+
+def _reference_product(a, b, n):
+    return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) for k in range(n)]
+
+
+_coeff = st.one_of(st.integers(-3, 3), st.integers(-(2**200), 2**200))
+_int_poly = st.one_of(
+    st.lists(_coeff, min_size=1, max_size=2 * jet_kernel.KRONECKER_MIN_LEN + 3),
+    st.integers(1, 2 * jet_kernel.KRONECKER_MIN_LEN + 3).map(lambda n: [0] * n),
+).flatmap(lambda cs: st.integers(0, 4).map(lambda pad: cs + [0] * pad))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_int_poly, b=_int_poly, finite=st.booleans(), data=st.data())
+def test_kronecker_matches_schoolbook(a, b, finite, data):
+    # an exact product keeps every coefficient; a finite order keeps o + 1 of them
+    n = data.draw(st.integers(1, len(a) + len(b) + 2)) if finite else len(a) + len(b) - 1
+    expected = _reference_product(a, b, n)
+    assert jet_kernel._schoolbook(a, b, n) == expected
+    assert jet_kernel._kronecker(a, b, n) == expected
+
+
+_fraction = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=12), st.integers(-(2**80), 2**80)
+)
+_jet = st.builds(
+    lambda cs, order: Jet(cs, order),
+    st.lists(_fraction, min_size=1, max_size=12),
+    st.none() | st.integers(0, 11),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_jet, b=_jet, q=_fraction, cut=st.integers(0, 11))
+def test_stored_jets_are_in_lowest_terms(a, b, q, cut):
+    results = [a, b, a + b, a - b, a * b, -a, a * q, q - a, a.reflect()]
+    if a.order != 0:
+        results.append(a.d())
+    if a.order is None or cut <= a.order:
+        results.append(a.truncate(cut))
+    for j in results:
+        assert j.den > 0 and gcd(j.den, *j.nums) == 1
+        assert j.order is None or len(j.nums) == j.order + 1
+    assert a * b == b * a
+
+
+def _random_invertible(rng, dim, order):
+    """A dim x dim matrix jet with rational coefficients and an invertible constant term."""
+    while True:
+        m = MatrixJet([
+            [Jet([F(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(order + 1)], order)
+             for _ in range(dim)]
+            for _ in range(dim)
+        ])
+        try:
+            m.truncate(0).invert()
+            return m
+        except SingularConstantTermError:
+            continue
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_newton_inverse_is_two_sided(dim):
+    rng = random.Random(dim)
+    one = MatrixJet.identity(dim)
+    for order in (0, 1, 2, 3, 4, 7, 8, 13):
+        a = _random_invertible(rng, dim, order)
+        inv = a.invert()
+        assert inv.x_order == order
+        assert a * inv == one and inv * a == one
+    # an exact constant matrix has an exact inverse
+    c = MatrixJet.constant([[F(rng.randint(-7, 7), 3) + (5 if i == j else 0) for j in range(dim)]
+                            for i in range(dim)])
+    assert c.invert().x_order is None
+    assert c * c.invert() == one and c.invert() * c == one
+    # a singular constant term stays an error whatever the higher orders hold
+    rank_deficient = MatrixJet.constant([[1] * dim] * dim if dim > 1 else [[0]])
+    singular = rank_deficient + MatrixJet.diagonal(x_jet(6), dim) * _random_invertible(rng, dim, 6)
+    with pytest.raises(SingularConstantTermError):
+        singular.invert()
