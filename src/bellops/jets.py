@@ -10,11 +10,17 @@ differentiation costs one order; both rules are enforced, never silently bent.
 :class:`BiJet` is the two-variable analogue (x and t, commuting partials),
 held as a truncated series in t whose coefficients ("t-levels") are x-jets of
 one shared x-order: the x-order rules above live only in :class:`Jet`, and
-bi-jet operations are level-wise maps over jet operations.
+bi-jet operations other than the product are level-wise maps over jet operations.
 :class:`MatrixJet` wraps a square matrix of jets (or bi-jets) sharing one set
 of orders and provides the ring operations, the involution
 ``a*(x) = a(-x)^T`` and series inversion; a bi-jet matrix splits into its
 t-levels, x-jet matrices that share the entries' jets without copying.
+
+Every product, of jets, bi-jets or matrices of either, is one integer matrix
+product (:func:`_product`): each operand entry becomes one coefficient sequence
+over one denominator per operand, a bi-jet's t-levels side by side.  A matrix
+product packs each operand entry once, into one big integer, and unpacks each
+output entry once (:mod:`bellops.intpoly`).
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -31,6 +36,7 @@ from .errors import (
     SingularConstantTermError,
     UnsupportedRealizationError,
 )
+from .intpoly import matmul
 
 
 def _frac(v) -> Fraction:
@@ -50,56 +56,50 @@ def _omin(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return min(a, b)
 
 
-# -- integer convolution ------------------------------------------------------------
-
-# Shortest operand length at which a product packs both operands into single
-# integers (Kronecker substitution) instead of summing coefficient products.
-KRONECKER_MIN_LEN = 8
+# -- products ------------------------------------------------------------------------
 
 
-def _schoolbook(a: Sequence[int], b: Sequence[int], n: int) -> list:
-    """First ``n`` coefficients of the product of integer polynomials ``a`` and ``b``."""
-    if len(a) > len(b):
-        a, b = b, a
-    out = [0] * n
-    for i, v in enumerate(a[:n]):
-        if v:
-            row = b[: n - i]
-            out[i:i + len(row)] = map(add, out[i:i + len(row)], map(v.__mul__, row))
-    return out
+def _flatten(grid, nx: Optional[int], stride: int):
+    """Integer coefficient lists over one denominator for a grid of t-level tuples:
+    x^i t^j (i < nx) goes to slot ``j * stride + i``; trailing zeros are dropped."""
+    den = lcm(*(lv.den for row in grid for levels in row for lv in levels))
+    flat = []
+    for row in grid:
+        flat.append([])
+        for levels in row:
+            cs = []
+            for j, lv in enumerate(levels):
+                cs += [0] * (j * stride - len(cs))
+                f = den // lv.den
+                cs += lv.nums[:nx] if f == 1 else [v * f for v in lv.nums[:nx]]
+            while cs and not cs[-1]:
+                cs.pop()
+            flat[-1].append(cs)
+    return flat, den
 
 
-def _kronecker(a: Sequence[int], b: Sequence[int], n: int) -> list:
-    """``_schoolbook(a, b, n)`` by one big-integer product.
+def _product(a, b, xo: Optional[int], to: Optional[int]) -> list:
+    """Each entry of ``a b``, for square grids of jets or bi-jets, as its x-jet
+    t-levels at x-order ``xo``, at most ``to + 1`` of them.
 
-    Every coefficient goes into a slot of ``nb`` bytes, wide enough for any
-    product coefficient plus a sign bit.  Adding half a slot (``h``) to every
-    slot makes all digits non-negative, so signed values pack and unpack through
-    plain little-endian bytes with no carries between slots.
+    With ``stride = Lx_a + Lx_b - 1`` for the longest x-levels of each side, every
+    x-product of two t-levels fits in one stride, so laying t-level j out from
+    slot ``j * stride`` makes a bivariate product a univariate one.
     """
-    la, lb = len(a), len(b)
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + min(la, lb).bit_length())
-    nb = bits // 8 + 1
-    h = 1 << (8 * nb - 1)
-    half = b"\0" * (nb - 1) + b"\x80"
-    m = la + lb - 1
-
-    def pack(cs):
-        data = b"".join([(c + h).to_bytes(nb, "little") for c in cs])
-        return int.from_bytes(data, "little") - int.from_bytes(half * len(cs), "little")
-
-    data = (pack(a) * pack(b) + int.from_bytes(half * m, "little")).to_bytes(m * nb, "little")
-    out = [int.from_bytes(data[k * nb:(k + 1) * nb], "little") - h for k in range(min(n, m))]
-    return out + [0] * (n - len(out))
-
-
-def _significant(cs: Sequence[int], n: int) -> Sequence[int]:
-    """The first ``n`` entries of ``cs`` without trailing zeros (at least one entry)."""
-    k = min(len(cs), n)
-    while k > 1 and not cs[k - 1]:
-        k -= 1
-    return cs[:k]
+    nx = None if xo is None else xo + 1
+    nt = None if to is None else to + 1
+    ga, gb = ([[v.levels[:nt] if isinstance(v, BiJet) else (v,) for v in row] for row in g]
+              for g in (a, b))
+    la, lb = (max(len(lv.nums[:nx]) for row in g for levels in row for lv in levels)
+              for g in (ga, gb))
+    ta, tb = (max(len(levels) for row in g for levels in row) for g in (ga, gb))
+    stride = la + lb - 1
+    lt = ta + tb - 1 if nt is None else min(ta + tb - 1, nt)
+    w = stride if nx is None else min(stride, nx)
+    (fa, da), (fb, db) = _flatten(ga, nx, stride), _flatten(gb, nx, stride)
+    flat = matmul(fa, fb, (lt - 1) * stride + w)
+    return [[[Jet._of(cs[j * stride:j * stride + w], da * db, xo) for j in range(lt)]
+             for cs in row] for row in flat]
 
 
 class Jet:
@@ -212,11 +212,7 @@ class Jet:
             return Jet._of(nums, self.den * q.denominator, self.order)
         if not isinstance(other, Jet):
             return NotImplemented
-        o = _omin(self.order, other.order)
-        n = len(self.nums) + len(other.nums) - 1 if o is None else o + 1
-        a, b = _significant(self.nums, n), _significant(other.nums, n)
-        conv = _kronecker if min(len(a), len(b)) >= KRONECKER_MIN_LEN else _schoolbook
-        return Jet._of(conv(a, b, n), self.den * other.den, o)
+        return _product([[self]], [[other]], _omin(self.order, other.order), None)[0][0][0]
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -369,16 +365,7 @@ class BiJet:
         if other is None:
             return NotImplemented
         xo, to = _omin(self.x_order, other.x_order), _omin(self.t_order, other.t_order)
-        a, b = self.levels, other.levels
-        n = len(a) + len(b) - 1 if to is None else to + 1
-        out = []
-        for m in range(n):
-            acc = None
-            for p in range(max(0, m - len(b) + 1), min(m, len(a) - 1) + 1):
-                term = a[p] * b[m - p]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return BiJet._of(out, xo, to)
+        return BiJet._of(_product([[self]], [[other]], xo, to)[0][0], xo, to)
 
     __rmul__ = __mul__
 
@@ -573,16 +560,11 @@ class MatrixJet:
         if isinstance(other, (int, Fraction)):
             return MatrixJet([[v * other for v in row] for row in self.entries])
         a, b = self._pair(other)
-        out = []
-        for i in range(a.dim):
-            row = []
-            for j in range(a.dim):
-                acc = a.entries[i][0] * b.entries[0][j]
-                for k in range(1, a.dim):
-                    acc = acc + a.entries[i][k] * b.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return MatrixJet(out)
+        xo, to = _omin(a.x_order, b.x_order), _omin(a.t_order, b.t_order)
+        grid = _product(a.entries, b.entries, xo, to)
+        if a.kind == "jet":
+            return MatrixJet([[levels[0] for levels in row] for row in grid])
+        return MatrixJet([[BiJet._of(levels, xo, to) for levels in row] for row in grid])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -10,8 +10,9 @@ Grammar (whitespace insensitive, products keep their written order):
     NUM    := INT ('/' INT)?
 
 The star suffix token is ``*'`` so it cannot collide with multiplication.
-Exponents (``^INT``, ``D^INT``, ``D0^INT``) are at most ``MAX_POWER``; integer
-literals in ``NUM`` are at most ``MAX_DIGITS`` digits long.
+Exponents (``^INT``, ``D^INT``, ``D0^INT``) and operator-file indices are at
+most ``MAX_POWER``; integer literals in ``NUM`` are at most ``MAX_DIGITS``
+digits long.
 Operator files hold ``a[<k>] = <expr>`` lines; initial-condition files hold
 ``entry[<i>][<j>] = <polynomial in x>`` lines.  ``#`` starts a comment.
 """
@@ -37,13 +38,24 @@ from .operators import DiffOperator
 # hostile input far from the interpreter's recursion limit.
 MAX_NESTING = 100
 
-# Largest allowed exponent in ``^k``, ``D^k`` and ``D0^k``; a bigger one is a
-# syntax error before any ring work starts.
+# Largest allowed exponent in ``^k``, ``D^k`` and ``D0^k``, and largest index k
+# in an operator file's ``a[k]``; a bigger one is an error before any ring work
+# starts.
 MAX_POWER = 1000
 
 # Longest allowed integer literal, numerator or denominator, in digits (leading
 # zeros count); Python refuses to convert decimal strings over 4300 digits.
 MAX_DIGITS = 1000
+
+
+def _bounded_power(digits: str):
+    """The value of a decimal digit string, or None when it exceeds MAX_POWER;
+    the length is checked before any conversion."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_POWER)) or int(digits) > MAX_POWER:
+        return None
+    return int(digits)
+
 
 # -- AST ----------------------------------------------------------------------
 
@@ -177,10 +189,10 @@ class _Parser:
         """'^' INT, with the integer at most MAX_POWER."""
         self.take("^")
         tok = self.take("INT")
-        digits = tok[1].lstrip("0") or "0"
-        if len(digits) > len(str(MAX_POWER)) or int(digits) > MAX_POWER:
+        k = _bounded_power(tok[1])
+        if k is None:
             raise ExprSyntaxError(f"exponent larger than {MAX_POWER}", tok[2])
-        return int(digits)
+        return k
 
     def group(self):
         """'(' expr ')', nested at most MAX_NESTING deep."""
@@ -315,7 +327,9 @@ def parse_operator_text(text: str, env, one, realization, generators=None) -> Di
         m = _COEFF_LINE_RE.match(line)
         if not m:
             raise OperatorFileError("expected 'a[<k>] = <expr>'", lineno)
-        k = int(m.group(1))
+        k = _bounded_power(m.group(1))
+        if k is None:
+            raise OperatorFileError(f"coefficient index larger than {MAX_POWER}", lineno)
         if k in coeffs:
             raise DuplicateIndexError(f"coefficient a[{k}] assigned twice", lineno)
         try:

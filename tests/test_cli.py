@@ -195,6 +195,19 @@ def test_long_literal_is_a_domain_error(tmp_path):
     assert code == 0 and out.startswith("1/777")
 
 
+def test_operator_index_limit_is_a_domain_error(tmp_path):
+    """An operator-file index past MAX_POWER fails on its line before any work."""
+    for index in ("1001", "7" * 5000, "0" * 5000 + "1001"):
+        files = {"big.op": f"a[0] = e\n# order\na[{index}] = e\n"}
+        code, out, err = run(["divide", "--side", "right", "big.op", "--s", "s"], files, tmp_path)
+        assert (code, out) == (1, "")
+        assert err == "error: line 3: coefficient index larger than 1000\n"
+    # leading zeros do not count against the bound
+    files = {"small.op": "a[" + "0" * 5000 + "1] = e\n"}
+    code, out, _ = run(["divide", "--side", "right", "small.op", "--s", "s"], files, tmp_path)
+    assert code == 0 and out
+
+
 def test_help_exit_zero(tmp_path):
     code, out, _ = run(["--help"])
     assert code == 0

@@ -1,5 +1,6 @@
 """Truncated-series arithmetic: precision ledger, involution, inversion."""
 
+import functools
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -20,7 +21,8 @@ from bellops import (
     log_derivative,
     x_jet,
 )
-from bellops import jets as jet_kernel
+from bellops import intpoly
+from bellops import jets as jets_module
 from helpers import random_matrix_jet
 
 jets = st.lists(st.integers(-3, 3), min_size=3, max_size=7).map(
@@ -474,10 +476,12 @@ def _reference_product(a, b, n):
     return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) for k in range(n)]
 
 
-_coeff = st.one_of(st.integers(-3, 3), st.integers(-(2**200), 2**200))
+_coeff = st.one_of(
+    st.integers(-3, 3), st.integers(-(2**200), 2**200), st.integers(-(2**400), 2**400)
+)
 _int_poly = st.one_of(
-    st.lists(_coeff, min_size=1, max_size=2 * jet_kernel.KRONECKER_MIN_LEN + 3),
-    st.integers(1, 2 * jet_kernel.KRONECKER_MIN_LEN + 3).map(lambda n: [0] * n),
+    st.lists(_coeff, min_size=1, max_size=23),
+    st.integers(1, 23).map(lambda n: [0] * n),
 ).flatmap(lambda cs: st.integers(0, 4).map(lambda pad: cs + [0] * pad))
 
 
@@ -487,8 +491,106 @@ def test_kronecker_matches_schoolbook(a, b, finite, data):
     # an exact product keeps every coefficient; a finite order keeps o + 1 of them
     n = data.draw(st.integers(1, len(a) + len(b) + 2)) if finite else len(a) + len(b) - 1
     expected = _reference_product(a, b, n)
-    assert jet_kernel._schoolbook(a, b, n) == expected
-    assert jet_kernel._kronecker(a, b, n) == expected
+    assert intpoly._schoolbook([[a]], [[b]], n) == [[expected]]
+    assert intpoly._kronecker([[a]], [[b]], n) == [[expected]]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kronecker_slots_hold_extreme_sums(dim):
+    # equal extreme coefficients make the middle output coefficient the full sum of
+    # dim * length products, the largest value a slot must hold
+    for bits in range(1, 19):
+        for length in (1, 2, 3, 4, 5, 8, 9, 16, 17):
+            for sign in (1, -1):
+                p, q = [2**bits - 1] * length, [sign * (2**bits - 1)] * length
+                n = 2 * length - 1
+                expected = [[[dim * c for c in _reference_product(p, q, n)]] * dim] * dim
+                a, b = [[p] * dim] * dim, [[q] * dim] * dim
+                assert intpoly._kronecker(a, b, n) == expected
+                assert intpoly._schoolbook(a, b, n) == expected
+
+
+# Matrices of jets or bi-jets next to an independent model: one
+# ({(i, j): Fraction}, x_order, t_order) per entry, as in the bi-jet oracle above.
+_numerator = st.one_of(st.integers(-3, 3), st.integers(-(2**400), 2**400))
+
+
+@st.composite
+def _matrix_with_model(draw, dim):
+    kind = draw(st.sampled_from(("jet", "bijet")))
+    # narrow matrices pack into machine-word slots; wide ones mix in 400-bit
+    # numerators and 64-bit denominators
+    wide = draw(st.booleans())
+    xo = draw(st.none() | st.integers(0, 9))
+    to = draw(st.none() | st.integers(0, 3)) if kind == "bijet" else None
+    entries, rows_of = [], []
+    for _ in range(dim * dim):
+        shape = draw(st.sampled_from(("zero", "constant", "series", "series")))
+        den = draw(st.integers(1, 7) | st.integers(1, 2**64) if wide else st.integers(1, 7))
+        nx = 1 if shape != "series" else draw(st.integers(1, 10 if xo is None else xo + 2))
+        nt = 1 if shape != "series" or kind == "jet" else draw(
+            st.integers(1, 3 if to is None else to + 2))
+        rows = [[F(draw(_numerator if wide else st.integers(-3, 3)), den) if shape != "zero" else 0
+                 for _ in range(nt)]
+                for _ in range(nx)]
+        # a constant or zero entry is sometimes exact inside a finite-order matrix
+        exact = shape != "series" and draw(st.booleans())
+        exo, eto = (None, None) if exact else (xo, to)
+        entries.append(Jet([r[0] for r in rows], exo) if kind == "jet" and not exact
+                       else BiJet(rows, exo, eto) if kind == "bijet" and not exact
+                       else Jet.constant(rows[0][0]))
+        rows_of.append(rows)
+    m = MatrixJet([entries[dim * i:dim * (i + 1)] for i in range(dim)])
+    models = [_model(rows, m.x_order, m.t_order) for rows in rows_of]
+    return m, [models[dim * i:dim * (i + 1)] for i in range(dim)]
+
+
+def _model_matmul(a, b):
+    dim = len(a)
+    return [[functools.reduce(_model_add, (_model_mul(a[i][k], b[k][j]) for k in range(dim)))
+             for j in range(dim)] for i in range(dim)]
+
+
+def _assert_entry_matches(v, model):
+    d, xo, to = model
+    if isinstance(v, BiJet):
+        levels = v.levels
+        assert (v.x_order, v.t_order) == (xo, to)
+    else:
+        levels = (v,)
+        assert (v.order, to) == (xo, None)
+    for lv in levels:
+        assert lv.den > 0 and gcd(lv.den, *lv.nums) == 1
+        assert lv.order == xo and (xo is None or len(lv.nums) == xo + 1)
+    nx = (max([i for i, _ in d] + [0]) + 2) if xo is None else xo + 1
+    nt = (max([j for _, j in d] + [0]) + 2) if to is None else to + 1
+    for i in range(nx):
+        for j in range(nt):
+            got = v.at(i, j) if isinstance(v, BiJet) else v.at(i) if j == 0 else 0
+            assert got == d.get((i, j), 0), (i, j)
+
+
+@pytest.mark.parametrize("helper", [intpoly._kronecker, intpoly._schoolbook],
+                         ids=["packed", "term_by_term"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_packed_matrix_product_matches_fraction_oracle(helper, data):
+    # every product goes through ``helper``, whichever way the rule would choose
+    dim = data.draw(st.integers(1, 3))
+    (a, ma), (b, mb) = data.draw(_matrix_with_model(dim)), data.draw(_matrix_with_model(dim))
+    chosen, jets_module.matmul = jets_module.matmul, helper
+    try:
+        for x, y, mx, my in ((a, b, ma, mb), (b, a, mb, ma)):
+            product, model = x * y, _model_matmul(mx, my)
+            assert product.kind == ("jet" if x.kind == y.kind == "jet" else "bijet")
+            for i in range(dim):
+                for j in range(dim):
+                    _assert_entry_matches(product.entries[i][j], model[i][j])
+        # entry products (jet, bi-jet or mixed) are the same product on 1x1 operands
+        entry = a.entries[0][0] * b.entries[0][0]
+    finally:
+        jets_module.matmul = chosen
+    _assert_entry_matches(entry, _model_mul(ma[0][0], mb[0][0]))
 
 
 _fraction = st.one_of(

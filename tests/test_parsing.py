@@ -160,6 +160,11 @@ def test_operator_file_bad_line():
         op_from("a[0] = D^2(q\n")
     with pytest.raises(OperatorFileError):
         op_from("\n")
+    # the index bound is inclusive: a[1000] parses, a[1001] is an error on its line
+    assert op_from("a[1000] = e\n").order == 1000
+    with pytest.raises(OperatorFileError) as err:
+        op_from("a[0] = e\na[1001] = e\n")
+    assert err.value.line == 2
 
 
 # -- pretty-printer round trip -------------------------------------------------------------
