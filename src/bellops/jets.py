@@ -13,8 +13,11 @@ one shared x-order: the x-order rules above live only in :class:`Jet`, and
 bi-jet operations other than the product are level-wise maps over jet operations.
 :class:`MatrixJet` wraps a square matrix of jets (or bi-jets) sharing one set
 of orders and provides the ring operations, the involution
-``a*(x) = a(-x)^T`` and series inversion; a bi-jet matrix splits into its
-t-levels, x-jet matrices that share the entries' jets without copying.
+``a*(x) = a(-x)^T`` and series inversion.  A jet answers the bi-jet interface
+as a bi-jet with one exact t-level, so every matrix operation has one path for
+both kinds.  A bi-jet matrix splits into its t-levels, x-jet matrices that
+share the entries' jets without copying; inversion is Newton iteration in x on
+the t^0 level, then a recurrence over the higher t-levels (none for jets).
 
 Every product, of jets, bi-jets or matrices of either, is one integer matrix
 product (:func:`_product`): each operand entry becomes one coefficient sequence
@@ -79,8 +82,8 @@ def _flatten(grid, nx: Optional[int], stride: int):
 
 
 def _product(a, b, xo: Optional[int], to: Optional[int]) -> list:
-    """Each entry of ``a b``, for square grids of jets or bi-jets, as its x-jet
-    t-levels at x-order ``xo``, at most ``to + 1`` of them.
+    """The entries of ``a b``, for square grids of jets or bi-jets: jets at x-order
+    ``xo`` when both grids hold jets, otherwise bi-jets at orders ``(xo, to)``.
 
     With ``stride = Lx_a + Lx_b - 1`` for the longest x-levels of each side, every
     x-product of two t-levels fits in one stride, so laying t-level j out from
@@ -88,8 +91,7 @@ def _product(a, b, xo: Optional[int], to: Optional[int]) -> list:
     """
     nx = None if xo is None else xo + 1
     nt = None if to is None else to + 1
-    ga, gb = ([[v.levels[:nt] if isinstance(v, BiJet) else (v,) for v in row] for row in g]
-              for g in (a, b))
+    ga, gb = ([[v.levels[:nt] for v in row] for row in g] for g in (a, b))
     la, lb = (max(len(lv.nums[:nx]) for row in g for levels in row for lv in levels)
               for g in (ga, gb))
     ta, tb = (max(len(levels) for row in g for levels in row) for g in (ga, gb))
@@ -98,8 +100,10 @@ def _product(a, b, xo: Optional[int], to: Optional[int]) -> list:
     w = stride if nx is None else min(stride, nx)
     (fa, da), (fb, db) = _flatten(ga, nx, stride), _flatten(gb, nx, stride)
     flat = matmul(fa, fb, (lt - 1) * stride + w)
-    return [[[Jet._of(cs[j * stride:j * stride + w], da * db, xo) for j in range(lt)]
-             for cs in row] for row in flat]
+    if isinstance(a[0][0], Jet) and isinstance(b[0][0], Jet):
+        return [[Jet._of(cs[:w], da * db, xo) for cs in row] for row in flat]
+    return [[BiJet._of([Jet._of(cs[j * stride:j * stride + w], da * db, xo) for j in range(lt)],
+                       xo, to) for cs in row] for row in flat]
 
 
 class Jet:
@@ -109,9 +113,13 @@ class Jet:
     positive denominator, in lowest terms (``gcd(den, *nums) == 1``), so equal
     exact jets have equal ``(nums, den)``.  Fractions appear only at the API
     boundary (the constructor, :meth:`at` and :attr:`coeffs`).
+
+    A jet also answers the bi-jet interface (:attr:`x_order`, :attr:`t_order`,
+    :attr:`levels`, :meth:`truncate`) as a bi-jet with one exact t-level.
     """
 
     __slots__ = ("nums", "den", "order")
+    t_order = None
 
     def __init__(self, coeffs: Iterable, order: Optional[int] = None):
         if order is not None and order < 0:
@@ -163,7 +171,16 @@ class Jet:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
-    def truncate(self, order: Optional[int]) -> "Jet":
+    @property
+    def x_order(self) -> Optional[int]:
+        return self.order
+
+    @property
+    def levels(self) -> tuple:
+        return (self,)
+
+    def truncate(self, order: Optional[int], t_order: Optional[int] = None) -> "Jet":
+        """Truncate to x-order ``order``; a t-order is ignored (the t-axis is exact)."""
         if order == self.order:
             return self
         if order is None:
@@ -212,7 +229,7 @@ class Jet:
             return Jet._of(nums, self.den * q.denominator, self.order)
         if not isinstance(other, Jet):
             return NotImplemented
-        return _product([[self]], [[other]], _omin(self.order, other.order), None)[0][0][0]
+        return _product([[self]], [[other]], _omin(self.order, other.order), None)[0][0]
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -365,13 +382,15 @@ class BiJet:
         if other is None:
             return NotImplemented
         xo, to = _omin(self.x_order, other.x_order), _omin(self.t_order, other.t_order)
-        return BiJet._of(_product([[self]], [[other]], xo, to)[0][0], xo, to)
+        return _product([[self]], [[other]], xo, to)[0][0]
 
     __rmul__ = __mul__
 
     def dx(self) -> "BiJet":
         levels = [lv.d() for lv in self.levels]
         return BiJet._of(levels, levels[0].order, self.t_order)
+
+    d = dx
 
     def dt(self) -> "BiJet":
         if self.t_order == 0:
@@ -401,14 +420,10 @@ class BiJet:
 # -- exact rational matrix helpers ------------------------------------------------
 
 
-def _mat_identity(n: int):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
 def _mat_inv(a):
     """Gauss-Jordan inverse over Fraction; raises on singular input."""
     n = len(a)
-    aug = [list(row) + ident for row, ident in zip([list(r) for r in a], _mat_identity(n))]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
@@ -448,38 +463,27 @@ class MatrixJet:
         n = len(grid)
         if n == 0 or any(len(row) != n for row in grid):
             raise ValueError("entries must form a non-empty square grid")
-        if any(isinstance(v, BiJet) for row in grid for v in row):
-            grid = [
-                [BiJet.from_jet(v) if isinstance(v, Jet) else v for v in row] for row in grid
-            ]
         kinds = {type(v) for row in grid for v in row}
-        if not kinds <= {Jet, BiJet} or len(kinds) != 1:
+        if not kinds <= {Jet, BiJet}:
             raise TypeError("entries must all be Jet or BiJet values")
-        if kinds == {Jet}:
-            xo = None
-            for row in grid:
-                for v in row:
-                    xo = _omin(xo, v.order)
-            grid = [[v.truncate(xo) for v in row] for row in grid]
-        else:
-            xo = to = None
-            for row in grid:
-                for v in row:
-                    xo = _omin(xo, v.x_order)
-                    to = _omin(to, v.t_order)
-            grid = [[v.truncate(xo, to) for v in row] for row in grid]
+        if len(kinds) == 2:  # a jet among bi-jets is embedded t-constant
+            grid = [[BiJet.from_jet(v) if type(v) is Jet else v for v in row] for row in grid]
+        xo = to = None
+        for row in grid:
+            for v in row:
+                xo, to = _omin(xo, v.x_order), _omin(to, v.t_order)
         self.dim = n
-        self.entries = tuple(tuple(row) for row in grid)
+        self.entries = tuple(tuple(v.truncate(xo, to) for v in row) for row in grid)
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
     def identity(cls, dim: int) -> "MatrixJet":
-        return cls.constant(_mat_identity(dim))
+        return cls.diagonal(Jet.constant(1), dim)
 
     @classmethod
     def zeros(cls, dim: int) -> "MatrixJet":
-        return cls.constant([[Fraction(0)] * dim for _ in range(dim)])
+        return cls.diagonal(Jet.constant(0), dim)
 
     @classmethod
     def constant(cls, matrix) -> "MatrixJet":
@@ -506,13 +510,11 @@ class MatrixJet:
 
     @property
     def x_order(self) -> Optional[int]:
-        v = self.entries[0][0]
-        return v.x_order if isinstance(v, BiJet) else v.order
+        return self.entries[0][0].x_order
 
     @property
     def t_order(self) -> Optional[int]:
-        v = self.entries[0][0]
-        return v.t_order if isinstance(v, BiJet) else None
+        return self.entries[0][0].t_order
 
     def entry(self, i: int, j: int):
         return self.entries[i][j]
@@ -530,11 +532,6 @@ class MatrixJet:
             raise RealizationMismatchError(
                 f"matrix dimensions differ: {self.dim} vs {other.dim}"
             )
-        a, b = self, other
-        if a.kind != b.kind:
-            a = a.promote() if a.kind == "jet" else a
-            b = b.promote() if b.kind == "jet" else b
-        return a, b
 
     def promote(self) -> "MatrixJet":
         """Embed a jet-kind matrix as a t-constant bi-jet matrix."""
@@ -545,9 +542,9 @@ class MatrixJet:
     # -- ring operations ---------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self._pair(other)
+        self._pair(other)
         return MatrixJet(
-            [[a.entries[i][j] + b.entries[i][j] for j in range(a.dim)] for i in range(a.dim)]
+            [[v + w for v, w in zip(row, orow)] for row, orow in zip(self.entries, other.entries)]
         )
 
     def __sub__(self, other):
@@ -559,12 +556,9 @@ class MatrixJet:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return MatrixJet([[v * other for v in row] for row in self.entries])
-        a, b = self._pair(other)
-        xo, to = _omin(a.x_order, b.x_order), _omin(a.t_order, b.t_order)
-        grid = _product(a.entries, b.entries, xo, to)
-        if a.kind == "jet":
-            return MatrixJet([[levels[0] for levels in row] for row in grid])
-        return MatrixJet([[BiJet._of(levels, xo, to) for levels in row] for row in grid])
+        self._pair(other)
+        xo, to = _omin(self.x_order, other.x_order), _omin(self.t_order, other.t_order)
+        return MatrixJet(_product(self.entries, other.entries, xo, to))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -572,8 +566,6 @@ class MatrixJet:
         return NotImplemented
 
     def d(self) -> "MatrixJet":
-        if self.kind == "bijet":
-            return MatrixJet([[v.dx() for v in row] for row in self.entries])
         return MatrixJet([[v.d() for v in row] for row in self.entries])
 
     def d0(self) -> "MatrixJet":
@@ -597,49 +589,57 @@ class MatrixJet:
             return NotImplemented
         if other.dim != self.dim:
             return False
-        a, b = self._pair(other)
-        return all(
-            a.entries[i][j] == b.entries[i][j] for i in range(a.dim) for j in range(a.dim)
-        )
+        return all(v == w for row, orow in zip(self.entries, other.entries)
+                   for v, w in zip(row, orow))
 
     __hash__ = None
 
     def truncate(self, x_order: Optional[int], t_order: Optional[int] = None) -> "MatrixJet":
-        if self.kind == "jet":
-            return MatrixJet([[v.truncate(x_order) for v in row] for row in self.entries])
         return MatrixJet([[v.truncate(x_order, t_order) for v in row] for row in self.entries])
 
     # -- series inversion ------------------------------------------------------------
 
     def invert(self) -> "MatrixJet":
-        """Multiplicative inverse to the stored truncation order.
+        """Multiplicative inverse to the stored truncation orders.
 
-        The constant (x=0, t=0) matrix must be invertible.  Exact inputs must
-        be constant: a non-constant polynomial has no polynomial inverse, so a
-        finite truncation order is required first.  Finite orders use Newton
-        iteration X <- X(2I - AX) from the inverse of the constant matrix,
-        doubling the valid order at each step.
+        The constant (x=0, t=0) matrix must be invertible.  The t^0 level A_0 is
+        inverted in x: exact inputs must be constant there (a non-constant
+        polynomial has no polynomial inverse, so a finite x-order is required
+        first); finite x-orders use Newton iteration X <- X(2I - A_0 X) from the
+        inverse of the constant matrix, doubling the valid order at each step.
+        The higher t-levels follow from X_m = -X_0 sum_{j=1..m} A_j X_{m-j}; a
+        jet matrix has none, and an exact t-axis must have none.
         """
-        if self.kind == "bijet":
-            return self._invert_bijet()
-        const = [[v.at(0) for v in row] for row in self.entries]
-        if self.x_order is None:
-            if any(len(v.nums) > 1 for row in self.entries for v in row):
-                raise PrecisionExhaustedError(
-                    "inverting a non-constant exact series needs a finite truncation order"
-                )
-            return MatrixJet.constant(_mat_inv(const))
-        x, k = MatrixJet([[Jet((v,), 0) for v in row] for row in _mat_inv(const)]), 0
+        levels = self.t_levels()
+        a0 = levels[0]
+        if self.x_order is None and any(len(v.nums) > 1 for row in a0.entries for v in row):
+            raise PrecisionExhaustedError(
+                "inverting a non-constant exact series needs a finite truncation order"
+            )
+        const = [[v.at(0) for v in row] for row in a0.entries]
+        x, k = MatrixJet.constant(_mat_inv(const)).truncate(self.x_order), 0
         two = MatrixJet.identity(self.dim) * 2
-        while k < self.x_order:
+        while self.x_order is not None and k < self.x_order:
             k2 = min(2 * k + 1, self.x_order)
             # X ≡ A⁻¹ mod x^{k+1} implies X(2I − AX) ≡ A⁻¹ mod x^{2k+2}, so the
             # iterate, valid to order k, is lifted to order k2 <= 2k + 1 here:
             # the one place the order ledger is extended.
             x = MatrixJet([[Jet._of(list(v.nums), v.den, k2) for v in row] for row in x.entries])
-            x = x * (two - self.truncate(k2) * x)
+            x = x * (two - a0.truncate(k2) * x)
             k = k2
-        return x
+        if self.t_order is None and len(levels) > 1:
+            raise PrecisionExhaustedError(
+                "inverting a t-dependent exact series needs a finite t-order"
+            )
+        if self.kind == "jet":
+            return x
+        out = [x]
+        for m in range(1, len(levels)):
+            acc = levels[1] * out[m - 1]
+            for j in range(2, m + 1):
+                acc = acc + levels[j] * out[m - j]
+            out.append(-(x * acc))
+        return MatrixJet.from_t_levels(out, self.t_order)
 
     def t_levels(self):
         """The x-jet matrices multiplying each power of t (just ``[self]`` for jets)."""
@@ -662,23 +662,6 @@ class MatrixJet:
                 for i in range(dim)
             ]
         )
-
-    def _invert_bijet(self) -> "MatrixJet":
-        levels = self.t_levels()
-        inv0 = levels[0].invert()
-        if self.t_order is None:
-            if len(levels) > 1:
-                raise PrecisionExhaustedError(
-                    "inverting a t-dependent exact series needs a finite t-order"
-                )
-            return inv0.promote()
-        out = [inv0]
-        for m in range(1, self.t_order + 1):
-            acc = levels[1] * out[m - 1]
-            for j in range(2, m + 1):
-                acc = acc + levels[j] * out[m - j]
-            out.append(-(inv0 * acc))
-        return MatrixJet.from_t_levels(out, self.t_order)
 
     def __repr__(self):
         return f"MatrixJet(dim={self.dim}, kind={self.kind}, x_order={self.x_order}, t_order={self.t_order})"

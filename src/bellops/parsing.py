@@ -11,8 +11,8 @@ Grammar (whitespace insensitive, products keep their written order):
 
 The star suffix token is ``*'`` so it cannot collide with multiplication.
 Exponents (``^INT``, ``D^INT``, ``D0^INT``) and operator-file indices are at
-most ``MAX_POWER``; integer literals in ``NUM`` are at most ``MAX_DIGITS``
-digits long.
+most ``MAX_POWER``, and entry indices at most ``dim - 1``; integer literals in
+``NUM`` are at most ``MAX_DIGITS`` digits long.
 Operator files hold ``a[<k>] = <expr>`` lines; initial-condition files hold
 ``entry[<i>][<j>] = <polynomial in x>`` lines.  ``#`` starts a comment.
 """
@@ -48,11 +48,11 @@ MAX_POWER = 1000
 MAX_DIGITS = 1000
 
 
-def _bounded_power(digits: str):
-    """The value of a decimal digit string, or None when it exceeds MAX_POWER;
+def _bounded(digits: str, limit: int = MAX_POWER):
+    """The value of a decimal digit string, or None when it exceeds ``limit``;
     the length is checked before any conversion."""
     digits = digits.lstrip("0") or "0"
-    if len(digits) > len(str(MAX_POWER)) or int(digits) > MAX_POWER:
+    if len(digits) > len(str(limit)) or int(digits) > limit:
         return None
     return int(digits)
 
@@ -189,7 +189,7 @@ class _Parser:
         """'^' INT, with the integer at most MAX_POWER."""
         self.take("^")
         tok = self.take("INT")
-        k = _bounded_power(tok[1])
+        k = _bounded(tok[1])
         if k is None:
             raise ExprSyntaxError(f"exponent larger than {MAX_POWER}", tok[2])
         return k
@@ -327,7 +327,7 @@ def parse_operator_text(text: str, env, one, realization, generators=None) -> Di
         m = _COEFF_LINE_RE.match(line)
         if not m:
             raise OperatorFileError("expected 'a[<k>] = <expr>'", lineno)
-        k = _bounded_power(m.group(1))
+        k = _bounded(m.group(1))
         if k is None:
             raise OperatorFileError(f"coefficient index larger than {MAX_POWER}", lineno)
         if k in coeffs:
@@ -354,9 +354,9 @@ def parse_entry_text(text: str, dim: int, x_order) -> MatrixJet:
         m = _ENTRY_LINE_RE.match(line)
         if not m:
             raise OperatorFileError("expected 'entry[<i>][<j>] = <polynomial>'", lineno)
-        i, j = int(m.group(1)), int(m.group(2))
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise OperatorFileError(f"entry index ({i},{j}) outside dim {dim}", lineno)
+        i, j = _bounded(m.group(1), dim - 1), _bounded(m.group(2), dim - 1)
+        if i is None or j is None:
+            raise OperatorFileError(f"entry index outside dim {dim}", lineno)
         if (i, j) in seen:
             raise DuplicateIndexError(f"entry[{i}][{j}] assigned twice", lineno)
         seen.add((i, j))

@@ -208,6 +208,21 @@ def test_operator_index_limit_is_a_domain_error(tmp_path):
     assert code == 0 and out
 
 
+def test_entry_index_limit_is_a_domain_error(tmp_path):
+    """An initial-condition index past dim - 1 fails on its line, without echoing it."""
+    argv = ["--ring", "jet", "--dim", "2", "--x-order", "4",
+            "propagate", "d1.op", "--phi0", "seed.ic", "--t-order", "1"]
+    for i, j in (("2", "0"), ("0", "10"), ("7" * 5000, "0"), ("0", "0" * 5000 + "2")):
+        files = {"d1.op": "a[1] = e\n", "seed.ic": f"entry[0][0] = 1\n\nentry[{i}][{j}] = x\n"}
+        code, out, err = run(argv, files, tmp_path)
+        assert (code, out) == (1, "")
+        assert err == "error: line 3: entry index outside dim 2\n"
+    # leading zeros do not count against the bound
+    files = {"d1.op": "a[1] = e\n", "seed.ic": "entry[" + "0" * 5000 + "1][0] = x\n"}
+    code, out, _ = run(argv, files, tmp_path)
+    assert (code, out) == (0, "order: x=3 t=1\nx^0 t^1: [[0, 0], [1, 0]]\nx^1 t^0: [[0, 0], [1, 0]]\n")
+
+
 def test_help_exit_zero(tmp_path):
     code, out, _ = run(["--help"])
     assert code == 0

@@ -1,6 +1,7 @@
 """Truncated-series arithmetic: precision ledger, involution, inversion."""
 
 import functools
+import operator
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -321,11 +322,38 @@ def test_bijet_star_commutes_with_d0():
     assert m.d().star() == -(m.star().d())
 
 
+def _layout(m):
+    """Kind, orders and every stored t-level of every entry: equal layouts are
+    the same matrix, not just equal up to the common order."""
+    return (m.kind, m.x_order, m.t_order,
+            [[[(lv.nums, lv.den, lv.order) for lv in v.levels] for v in row] for row in m.entries])
+
+
 def test_promotion_mixed_kinds():
     jet_m = MatrixJet.identity(2)
     bi_m = jet_m.promote()
     assert jet_m + bi_m == 2 * jet_m
     assert (jet_m * bi_m).kind == "bijet"
+    # a jet-kind and a bi-jet-kind matrix combine entry by entry, in either
+    # order, exactly as if the jet-kind one had been promoted first
+    a = MatrixJet([[Jet([1, 2, 3], 5), x_jet(5)], [Jet([0, 0, F(1, 2)], 5), Jet([2, -1], 5)]])
+    b = MatrixJet([[BiJet([[1, 2], [3]], 4, 2), BiJet([[0, 1]], 6, 2)],
+                   [BiJet.constant(1), BiJet([[1], [F(1, 3)], [1]], 4, 2)]])
+    for x, y in ((a, b), (b, a)):
+        px, py = x.promote(), y.promote()
+        for op in (operator.add, operator.sub, operator.mul):
+            got = op(x, y)
+            assert _layout(got) == _layout(op(px, py)), op
+            assert (got.kind, got.x_order, got.t_order) == ("bijet", 4, 2)
+        assert (x == y) is (px == py) is False
+    assert a == a.promote() and a.promote() == a
+    # a jet answers the bi-jet interface as one exact t-level
+    j = Jet([1, 2, 3], 5)
+    assert (j.x_order, j.t_order, j.levels) == (5, None, (j,))
+    assert j.truncate(3, None).order == j.truncate(3, 1).order == 3
+    assert j.truncate(3, None) == Jet([1, 2, 3], 3)
+    bi = BiJet([[1, 2], [3, 4], [5]], 4, 2)
+    assert bi.d() == bi.dx() == BiJet([[3, 4], [10]], 3, 2)
 
 
 def test_invert_identity_exact():
@@ -390,6 +418,30 @@ def test_invert_exact_t_dependent_needs_finite_t_order():
     inv = m.truncate(None, 3).invert()
     assert inv == MatrixJet([[one, -t], [zero, one]])
     assert m * inv == MatrixJet.identity(2)
+
+
+@pytest.mark.parametrize(
+    "rows, t_order, error",
+    [
+        # singular constant term: raised before the exact t-dependence is looked at
+        ([[[[0, 1]], [[0]]], [[[0]], [[1]]]], None, SingularConstantTermError),
+        # exact in x and not constant at t^0
+        ([[[[1], [1]]]], 3, PrecisionExhaustedError),
+        # exact in x, constant at t^0, x-dependent higher t-levels
+        ([[[[1, 0], [0, 1]], [[0, 1]]], [[[0], [0, 0, 1]], [[1]]]], 3, None),
+    ],
+    ids=["singular-exact-t", "exact-x-nonconstant", "exact-x-t-dependent"],
+)
+def test_invert_bijet_edge_cases(rows, t_order, error):
+    # rows[i][j] holds the rows of entry (i, j): rows[i][j][k][m] multiplies x^k t^m
+    m = MatrixJet([[BiJet(r, None, t_order) for r in row] for row in rows])
+    if error is not None:
+        with pytest.raises(error):
+            m.invert()
+        return
+    inv = m.invert()
+    assert (inv.kind, inv.x_order, inv.t_order) == ("bijet", None, 3)
+    assert m * inv == MatrixJet.identity(2) == inv * m
 
 
 def test_log_derivative_exp_series():
