@@ -22,7 +22,14 @@ from .errors import KernelError
 from .free import FreeElement, FreeRing
 from .jets import MatrixJet, MatrixRealization, x_jet
 from .operators import DiffOperator
-from .parsing import parse_element, parse_entry_text, parse_operator_text
+from .parsing import MAX_POWER, parse_element, parse_entry_text, parse_operator_text
+
+# Most stored coefficients, (x-order + 1) * dim^2 * (t-order + 1), a jet session
+# may ask for; a bigger one is an error before any series is built.
+MAX_COEFFICIENTS = 10**6
+
+# Commands that build series in t in any jet session.
+T_SERIES_COMMANDS = ("propagate", "verify-matveev")
 
 
 class Session:
@@ -44,6 +51,15 @@ class Session:
                 raise KernelError("jet modes need --x-order >= 0")
             if args.ring == "bijet" and args.t_order < 0:
                 raise KernelError("bijet mode needs --t-order >= 0")
+            uses_t = args.ring == "bijet" or args.command in T_SERIES_COMMANDS
+            t_order = args.t_order if uses_t else 0
+            if t_order > MAX_POWER:
+                raise KernelError(f"--t-order larger than {MAX_POWER}")
+            size = (args.x_order + 1) * args.dim**2 * (t_order + 1)
+            if size > MAX_COEFFICIENTS:
+                raise KernelError(
+                    f"jet session needs (x-order + 1) * dim^2 * (t-order + 1) = {size} "
+                    f"stored coefficients, more than {MAX_COEFFICIENTS}")
             x = MatrixJet.diagonal(x_jet(args.x_order), args.dim)
             one = MatrixJet.identity(args.dim)
             if args.ring == "bijet":

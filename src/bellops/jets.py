@@ -1,33 +1,28 @@
 """Matrix-valued truncated power series: the analytic ring realization.
 
-A :class:`Jet` stores the rational coefficients of x^0..x^J, as integer
-numerators over one common denominator, together with its valid order J.
-``order=None`` marks an *exact* polynomial: every coefficient beyond the
-stored ones is identically zero, so no operation can exhaust it.
-Binary operations are valid to the minimum of the operand orders and
-differentiation costs one order; both rules are enforced, never silently bent.
+A :class:`MatrixJet` is a square matrix of series in x (or in x and t) with one
+x-order and one t-order, stored as integer numerators over one positive
+denominator ``den``, in lowest terms: ``nums[i][j][m]`` lists the numerators of
+x^0, x^1, ... in the coefficient of t^m of entry (i, j).  A finite order n keeps
+n + 1 of each; an exact axis (``None``) keeps no trailing zeros, so no operation
+can exhaust it.  A jet-kind matrix has one exact t-level per entry.  Binary
+operations are valid to the minimum of the operand orders and differentiation
+costs one order; both rules are enforced, never silently bent.  An operation is
+a comprehension over the grids and one ``gcd`` pass over its result; a product
+is one integer matrix product (:func:`_product` over :mod:`bellops.intpoly`);
+inversion is Newton iteration in x from a fraction-free inverse of the constant
+term, then a recurrence over the higher t-levels.
 
-:class:`BiJet` is the two-variable analogue (x and t, commuting partials),
-held as a truncated series in t whose coefficients ("t-levels") are x-jets of
-one shared x-order: the x-order rules above live only in :class:`Jet`, and
-bi-jet operations other than the product are level-wise maps over jet operations.
-:class:`MatrixJet` wraps a square matrix of jets (or bi-jets) sharing one set
-of orders and provides the ring operations, the involution
-``a*(x) = a(-x)^T`` and series inversion.  A jet answers the bi-jet interface
-as a bi-jet with one exact t-level, so every matrix operation has one path for
-both kinds.  A bi-jet matrix splits into its t-levels, x-jet matrices that
-share the entries' jets without copying; inversion is Newton iteration in x on
-the t^0 level, then a recurrence over the higher t-levels (none for jets).
-
-Every product, of jets, bi-jets or matrices of either, is one integer matrix
-product (:func:`_product`): each operand entry becomes one coefficient sequence
-over one denominator per operand, a bi-jet's t-levels side by side.  A matrix
-product packs each operand entry once, into one big integer, and unpacks each
-output entry once (:mod:`bellops.intpoly`).
+:class:`Jet` (x only) and :class:`BiJet` (t-levels that are x-jets of one
+x-order) are the entry values at the API boundary: :attr:`MatrixJet.entries`
+builds them on demand, and their arithmetic is matrix arithmetic on 1 x 1
+matrices.  A jet answers the bi-jet interface as one exact t-level.
 """
 
 from __future__ import annotations
 
+import operator
+from operator import methodcaller
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -59,51 +54,30 @@ def _omin(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return min(a, b)
 
 
-# -- products ------------------------------------------------------------------------
+def _entrywise(op, *values):
+    """``op`` on the 1 x 1 matrices of ``values``, read back as an entry; integers
+    and Fractions scale under ``*`` and are exact constants otherwise.
+    NotImplemented for other operands."""
+    mats = []
+    for v in values:
+        if isinstance(v, (int, Fraction)) and op is not operator.mul:
+            v = Jet.constant(v)
+        if isinstance(v, Jet):  # already in lowest terms and fitted to its order
+            v = MatrixJet._new("jet", [[[list(v.nums)]]], v.den, v.order, None)
+        elif isinstance(v, BiJet):
+            v = MatrixJet([[v]])
+        elif not isinstance(v, (int, Fraction)):
+            return NotImplemented
+        mats.append(v)
+    out = op(*mats)
+    return out._value(out.nums[0][0]) if isinstance(out, MatrixJet) else out
 
 
-def _flatten(grid, nx: Optional[int], stride: int):
-    """Integer coefficient lists over one denominator for a grid of t-level tuples:
-    x^i t^j (i < nx) goes to slot ``j * stride + i``; trailing zeros are dropped."""
-    den = lcm(*(lv.den for row in grid for levels in row for lv in levels))
-    flat = []
-    for row in grid:
-        flat.append([])
-        for levels in row:
-            cs = []
-            for j, lv in enumerate(levels):
-                cs += [0] * (j * stride - len(cs))
-                f = den // lv.den
-                cs += lv.nums[:nx] if f == 1 else [v * f for v in lv.nums[:nx]]
-            while cs and not cs[-1]:
-                cs.pop()
-            flat[-1].append(cs)
-    return flat, den
-
-
-def _product(a, b, xo: Optional[int], to: Optional[int]) -> list:
-    """The entries of ``a b``, for square grids of jets or bi-jets: jets at x-order
-    ``xo`` when both grids hold jets, otherwise bi-jets at orders ``(xo, to)``.
-
-    With ``stride = Lx_a + Lx_b - 1`` for the longest x-levels of each side, every
-    x-product of two t-levels fits in one stride, so laying t-level j out from
-    slot ``j * stride`` makes a bivariate product a univariate one.
-    """
-    nx = None if xo is None else xo + 1
-    nt = None if to is None else to + 1
-    ga, gb = ([[v.levels[:nt] for v in row] for row in g] for g in (a, b))
-    la, lb = (max(len(lv.nums[:nx]) for row in g for levels in row for lv in levels)
-              for g in (ga, gb))
-    ta, tb = (max(len(levels) for row in g for levels in row) for g in (ga, gb))
-    stride = la + lb - 1
-    lt = ta + tb - 1 if nt is None else min(ta + tb - 1, nt)
-    w = stride if nx is None else min(stride, nx)
-    (fa, da), (fb, db) = _flatten(ga, nx, stride), _flatten(gb, nx, stride)
-    flat = matmul(fa, fb, (lt - 1) * stride + w)
-    if isinstance(a[0][0], Jet) and isinstance(b[0][0], Jet):
-        return [[Jet._of(cs[:w], da * db, xo) for cs in row] for row in flat]
-    return [[BiJet._of([Jet._of(cs[j * stride:j * stride + w], da * db, xo) for j in range(lt)],
-                       xo, to) for cs in row] for row in flat]
+def _lifted(op, reflected: bool = False):
+    """The series method ``self.op(*others)`` (``others.op(self)`` when reflected)."""
+    if reflected:
+        return lambda self, other: _entrywise(op, other, self)
+    return lambda self, *others: _entrywise(op, self, *others)
 
 
 class Jet:
@@ -130,12 +104,9 @@ class Jet:
 
     def _set(self, nums: list, den: int, order: Optional[int]):
         if order is None:
-            k = len(nums)
-            while k > 1 and not nums[k - 1]:
-                k -= 1
-            nums = nums[:k] or [0]
+            nums = _trim(nums) or [0]
         else:
-            nums = nums[: order + 1] + [0] * (order + 1 - len(nums))
+            nums = _fit(nums, order + 1)
         g = gcd(den, *nums)
         if g != 1:
             nums = [v // g for v in nums]
@@ -181,86 +152,14 @@ class Jet:
 
     def truncate(self, order: Optional[int], t_order: Optional[int] = None) -> "Jet":
         """Truncate to x-order ``order``; a t-order is ignored (the t-axis is exact)."""
-        if order == self.order:
-            return self
-        if order is None:
-            raise PrecisionExhaustedError("cannot promote a finite-order jet to exact")
-        if self.order is not None and order > self.order:
-            raise PrecisionExhaustedError(
-                f"cannot extend valid order {self.order} to {order}"
-            )
-        return Jet._of(list(self.nums), self.den, order)
+        return _entrywise(methodcaller("truncate", order), self)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Jet.constant(other)
-        if not isinstance(other, Jet):
-            return NotImplemented
-        o = _omin(self.order, other.order)
-        n = max(len(self.nums), len(other.nums)) if o is None else o + 1
-        a, b = self.nums[:n], other.nums[:n]
-        da, db = self.den, other.den
-        if da != db:
-            g = gcd(da, db)
-            a = [v * (db // g) for v in a]
-            b = [v * (da // g) for v in b]
-            da = da // g * db
-        if len(a) < len(b):
-            a, b = b, a
-        return Jet._of([v + w for v, w in zip(a, b)] + list(a[len(b):]), da, o)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, Jet)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __neg__(self):
-        return Jet._of([-v for v in self.nums], self.den, self.order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = _frac(other)
-            nums = [v * q.numerator for v in self.nums]
-            return Jet._of(nums, self.den * q.denominator, self.order)
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return _product([[self]], [[other]], _omin(self.order, other.order), None)[0][0]
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def d(self) -> "Jet":
-        if self.order == 0:
-            raise PrecisionExhaustedError("derivative of an order-0 jet")
-        o = None if self.order is None else self.order - 1
-        return Jet._of([k * v for k, v in enumerate(self.nums) if k], self.den, o)
-
-    def reflect(self) -> "Jet":
-        """x -> -x: flip the sign of odd coefficients."""
-        return Jet._of([-v if k % 2 else v for k, v in enumerate(self.nums)], self.den, self.order)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Jet.constant(other)
-        if not isinstance(other, Jet):
-            return NotImplemented
-        o = _omin(self.order, other.order)
-        if o is None:
-            return self.nums == other.nums and self.den == other.den
-        # only an exact operand can store fewer than o + 1 coefficients
-        a, b = self.nums[: o + 1], other.nums[: o + 1]
-        a += (0,) * (o + 1 - len(a))
-        b += (0,) * (o + 1 - len(b))
-        da, db = self.den, other.den
-        return all(v * db == w * da for v, w in zip(a, b))
-
+    # arithmetic, d and reflect (x -> -x) are the matrix operations on 1 x 1 matrices
+    __add__ = __radd__ = _lifted(operator.add)
+    __sub__, __rsub__ = _lifted(operator.sub), _lifted(operator.sub, reflected=True)
+    __mul__, __rmul__ = _lifted(operator.mul), _lifted(operator.mul, reflected=True)
+    __neg__, __eq__ = _lifted(operator.neg), _lifted(operator.eq)
+    d, reflect = _lifted(methodcaller("d")), _lifted(methodcaller("star"))
     __hash__ = None
 
     def __repr__(self):
@@ -270,10 +169,9 @@ class Jet:
 class BiJet:
     """Truncated series in t whose coefficients are x-jets of one shared x-order.
 
-    ``levels[j]`` is the x-jet multiplying t^j.  The x-order rules live in
-    :class:`Jet`; this class adds only the t-axis ones: binary operations are
-    valid to the minimum t-order, ``dt`` costs one t-order, and an exact t-axis
-    (``t_order=None``) keeps no trailing zero levels.
+    ``levels[j]`` is the x-jet multiplying t^j.  Binary operations are valid to
+    the minimum orders on each axis, ``dx`` and ``dt`` each cost one order, and
+    an exact t-axis (``t_order=None``) keeps no trailing zero levels.
     """
 
     __slots__ = ("levels", "x_order", "t_order")
@@ -289,11 +187,9 @@ class BiJet:
 
     def _set(self, levels: list, x_order: Optional[int], t_order: Optional[int]):
         if t_order is None:
-            while len(levels) > 1 and levels[-1].is_zero():
-                levels.pop()
+            levels = _trim(levels, lambda lv: any(lv.nums))
         else:
-            del levels[t_order + 1:]
-            levels += [Jet((0,), x_order)] * (t_order + 1 - len(levels))
+            levels = _fit(levels, t_order + 1, Jet((0,), x_order))
         self.levels = tuple(levels)
         self.x_order = x_order
         self.t_order = t_order
@@ -335,107 +231,132 @@ class BiJet:
         return all(lv.is_zero() for lv in self.levels)
 
     def truncate(self, x_order: Optional[int], t_order: Optional[int]) -> "BiJet":
-        mine = self.t_order
-        if t_order is None and mine is not None:
-            raise PrecisionExhaustedError("cannot promote a finite t-order to exact")
-        if None not in (t_order, mine) and t_order > mine:
-            raise PrecisionExhaustedError(f"cannot extend valid t-order {mine} to {t_order}")
-        if (x_order, t_order) == (self.x_order, self.t_order):
-            return self
-        return BiJet._of([lv.truncate(x_order) for lv in self.levels], x_order, t_order)
+        return _entrywise(methodcaller("truncate", x_order, t_order), self)
 
-    @staticmethod
-    def _operand(other):
-        """``other`` as a bi-jet, or None when it is not a series value."""
-        if isinstance(other, (int, Fraction)):
-            return BiJet.constant(other)
-        if isinstance(other, Jet):
-            return BiJet.from_jet(other)
-        return other if isinstance(other, BiJet) else None
-
-    def __add__(self, other):
-        other = BiJet._operand(other)
-        if other is None:
-            return NotImplemented
-        xo, to = _omin(self.x_order, other.x_order), _omin(self.t_order, other.t_order)
-        n = max(len(self.levels), len(other.levels)) if to is None else to + 1
-        return BiJet._of([self.level(j) + other.level(j) for j in range(n)], xo, to)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = BiJet._operand(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __neg__(self):
-        return BiJet._of([-lv for lv in self.levels], self.x_order, self.t_order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiJet._of([lv * other for lv in self.levels], self.x_order, self.t_order)
-        other = BiJet._operand(other)
-        if other is None:
-            return NotImplemented
-        xo, to = _omin(self.x_order, other.x_order), _omin(self.t_order, other.t_order)
-        return _product([[self]], [[other]], xo, to)[0][0]
-
-    __rmul__ = __mul__
-
-    def dx(self) -> "BiJet":
-        levels = [lv.d() for lv in self.levels]
-        return BiJet._of(levels, levels[0].order, self.t_order)
-
-    d = dx
-
-    def dt(self) -> "BiJet":
-        if self.t_order == 0:
-            raise PrecisionExhaustedError("t-derivative of a t-order-0 bi-jet")
-        to = None if self.t_order is None else self.t_order - 1
-        levels = [lv * j for j, lv in enumerate(self.levels) if j] or [Jet((0,), self.x_order)]
-        return BiJet._of(levels, self.x_order, to)
-
-    def reflect(self) -> "BiJet":
-        """x -> -x (t untouched)."""
-        return BiJet._of([lv.reflect() for lv in self.levels], self.x_order, self.t_order)
-
-    def __eq__(self, other):
-        other = BiJet._operand(other)
-        if other is None:
-            return NotImplemented
-        to = _omin(self.t_order, other.t_order)
-        n = max(len(self.levels), len(other.levels)) if to is None else to + 1
-        return all(self.level(j) == other.level(j) for j in range(n))
-
+    # arithmetic, dx, dt and reflect (x -> -x) are the matrix operations on 1 x 1 matrices
+    __add__ = __radd__ = _lifted(operator.add)
+    __sub__, __rsub__ = _lifted(operator.sub), _lifted(operator.sub, reflected=True)
+    __mul__, __rmul__ = _lifted(operator.mul), _lifted(operator.mul, reflected=True)
+    __neg__, __eq__ = _lifted(operator.neg), _lifted(operator.eq)
+    dx = d = _lifted(methodcaller("d"))
+    dt, reflect = _lifted(methodcaller("d0")), _lifted(methodcaller("star"))
     __hash__ = None
 
     def __repr__(self):
         return f"BiJet(x_order={self.x_order}, t_order={self.t_order})"
 
 
-# -- exact rational matrix helpers ------------------------------------------------
+# -- numerator grids ----------------------------------------------------------------
+# A grid is ``nums[i][j][m]``: per entry, its t-levels, each a list of integer
+# numerators.  Grids are shared between matrices and never mutated.
+
+
+def _fit(seq: list, n: int, pad=0) -> list:
+    """``seq`` cut, or padded with ``pad``, to ``n`` items."""
+    return seq if len(seq) == n else seq[:n] + [pad] * (n - len(seq))
+
+
+def _trim(seq, nonzero=bool):
+    """``seq`` without its trailing zero items, keeping the first item."""
+    k = len(seq)
+    while k > 1 and not nonzero(seq[k - 1]):
+        k -= 1
+    return seq if k == len(seq) else seq[:k]
+
+
+def _zeros(xo: Optional[int]) -> list:
+    """The zero t-level at x-order ``xo``."""
+    return [0] * (1 if xo is None else xo + 1)
+
+
+def _scaled(nums, f: int):
+    return nums if f == 1 else [[[[f * v for v in lv] for lv in e] for e in row] for row in nums]
+
+
+def _reduced(nums, den: int):
+    """``(nums, den)`` divided by ``gcd(den, *every numerator)``."""
+    g = den
+    for row in nums:
+        for e in row:
+            for lv in e:
+                g = gcd(g, *lv)
+                if g == 1:
+                    return nums, den
+    return [[[[v // g for v in lv] for lv in e] for e in row] for row in nums], den // g
+
+
+def _levelwise(ea: list, eb: list, op, nx: Optional[int], nt: Optional[int]) -> list:
+    """Level by level ``op`` of two entries' t-levels, to ``nx`` coefficients and
+    ``nt`` levels (None: as many as the longer operand has)."""
+    out = []
+    for m in range(max(len(ea), len(eb)) if nt is None else nt):
+        a = ea[m] if m < len(ea) else [0]
+        b = eb[m] if m < len(eb) else [0]
+        n = max(len(a), len(b)) if nx is None else nx
+        out.append(list(map(op, _fit(a, n), _fit(b, n))))
+    return out
+
+
+def _flat(nums, nx: Optional[int], nt: Optional[int], stride: int) -> list:
+    """Each entry's first ``nt`` t-levels, cut to ``nx`` coefficients, as one
+    coefficient list: x^i t^j goes to slot ``j * stride + i``; trailing zeros dropped."""
+    flat = []
+    for row in nums:
+        flat.append([])
+        for e in row:
+            cs = e[0][:nx]
+            for j, lv in enumerate(e[1:nt], 1):
+                cs += [0] * (j * stride - len(cs))
+                cs += lv[:nx]
+            while cs and not cs[-1]:
+                cs.pop()
+            flat[-1].append(cs)
+    return flat
+
+
+def _product(a: "MatrixJet", b: "MatrixJet") -> "MatrixJet":
+    """``a b``, valid to the smaller orders, as one integer matrix product.
+
+    With ``stride = Lx_a + Lx_b - 1`` for the longest x-levels of each side, every
+    x-product of two t-levels fits in one stride, so laying t-level j out from
+    slot ``j * stride`` makes a bivariate product a univariate one.
+    """
+    xo, to = _omin(a.x_order, b.x_order), _omin(a.t_order, b.t_order)
+    nx = None if xo is None else xo + 1
+    nt = None if to is None else to + 1
+    la, lb = (max(len(lv[:nx]) for row in m.nums for e in row for lv in e[:nt]) for m in (a, b))
+    ta, tb = (max(len(e[:nt]) for row in m.nums for e in row) for m in (a, b))
+    stride = la + lb - 1
+    lt = ta + tb - 1 if nt is None else min(ta + tb - 1, nt)
+    w = stride if nx is None else min(stride, nx)
+    flat = matmul(_flat(a.nums, nx, nt, stride), _flat(b.nums, nx, nt, stride),
+                  (lt - 1) * stride + w)
+    nums = [[[cs[j * stride:j * stride + w] for j in range(lt)] for cs in row] for row in flat]
+    kind = "jet" if a.kind == b.kind == "jet" else "bijet"
+    return MatrixJet._of(kind, nums, a.den * b.den, xo, to)
 
 
 def _mat_inv(a):
-    """Gauss-Jordan inverse over Fraction; raises on singular input."""
+    """``(adj, d)`` with ``d > 0`` and ``adj / d`` the inverse of the square integer
+    matrix ``a``, by Bareiss's fraction-free Gauss-Jordan elimination on ``[a | I]``
+    (every division is exact); raises on singular input."""
     n = len(a)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
             raise SingularConstantTermError("constant coefficient matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv_p for v in aug[col]]
+        m[k], m[pivot] = m[pivot], m[k]
+        p = m[k][k]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [rv - factor * cv for rv, cv in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            if r != k:
+                f = m[r][k]
+                m[r] = [(p * v - f * w) // prev for v, w in zip(m[r], m[k])]
+        prev = p
+    # the left block is now prev * I, so the right block is prev * a^-1
+    sign = 1 if prev > 0 else -1
+    return [[sign * v for v in row[n:]] for row in m], sign * prev
 
 
 @dataclass(frozen=True)
@@ -454,9 +375,10 @@ class MatrixRealization:
 
 
 class MatrixJet:
-    """Square matrix of jets (or bi-jets) sharing one set of valid orders."""
+    """Square matrix of jets (or bi-jets) sharing one set of valid orders, stored
+    as one numerator grid ``nums`` over one denominator ``den``."""
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "kind", "x_order", "t_order", "nums", "den", "_entries")
 
     def __init__(self, entries):
         grid = [list(row) for row in entries]
@@ -466,14 +388,41 @@ class MatrixJet:
         kinds = {type(v) for row in grid for v in row}
         if not kinds <= {Jet, BiJet}:
             raise TypeError("entries must all be Jet or BiJet values")
-        if len(kinds) == 2:  # a jet among bi-jets is embedded t-constant
-            grid = [[BiJet.from_jet(v) if type(v) is Jet else v for v in row] for row in grid]
         xo = to = None
         for row in grid:
             for v in row:
                 xo, to = _omin(xo, v.x_order), _omin(to, v.t_order)
-        self.dim = n
-        self.entries = tuple(tuple(v.truncate(xo, to) for v in row) for row in grid)
+        den = lcm(*(lv.den for row in grid for v in row for lv in v.levels))
+        nx = None if xo is None else xo + 1
+        nums = [[[list(lv.nums[:nx]) if lv.den == den else [den // lv.den * c for c in lv.nums[:nx]]
+                  for lv in v.levels] for v in row] for row in grid]
+        if nx is not None:
+            nums = [[[_fit(lv, nx) for lv in e] for e in row] for row in nums]
+        if to is not None:  # a jet among bi-jets is t-constant: one level, padded
+            nums = [[_fit(e, to + 1, _zeros(xo)) for e in row] for row in nums]
+        nums, den = _reduced(nums, den)
+        self._set("bijet" if BiJet in kinds else "jet", nums, den, xo, to)
+
+    def _set(self, kind, nums, den, xo, to):
+        self.dim, self.kind, self.nums, self.den = len(nums), kind, nums, den
+        self.x_order, self.t_order, self._entries = xo, to, None
+
+    @classmethod
+    def _new(cls, kind: str, nums: list, den: int, xo, to) -> "MatrixJet":
+        """Matrix over a grid already in lowest terms and fitted to its orders."""
+        m = cls.__new__(cls)
+        m._set(kind, nums, den, xo, to)
+        return m
+
+    @classmethod
+    def _of(cls, kind: str, nums: list, den: int, xo, to) -> "MatrixJet":
+        """Matrix over a grid whose finite axes already have their lengths: drops
+        trailing zeros on exact axes and reduces to lowest terms (one gcd pass)."""
+        if xo is None:
+            nums = [[[_trim(lv) for lv in e] for e in row] for row in nums]
+        if to is None and kind == "bijet":
+            nums = [[_trim(e, any) for e in row] for row in nums]
+        return cls._new(kind, *_reduced(nums, den), xo, to)
 
     # -- constructors -----------------------------------------------------------
 
@@ -495,26 +444,30 @@ class MatrixJet:
 
     @classmethod
     def diagonal(cls, jet: Jet, dim: int) -> "MatrixJet":
-        zero = Jet((0,), jet.order)
-        return cls([[jet if i == j else zero for j in range(dim)] for i in range(dim)])
+        diag, zero = [list(jet.nums)], [_zeros(jet.order)]
+        nums = [[diag if i == j else zero for j in range(dim)] for i in range(dim)]
+        return cls._new("jet", nums, jet.den, jet.order, None)
 
-    # -- realization plumbing ------------------------------------------------------
+    # -- realization plumbing and the entries view ----------------------------------
 
     @property
     def realization(self) -> MatrixRealization:
         return MatrixRealization(self.dim)
 
     @property
-    def kind(self) -> str:
-        return "bijet" if isinstance(self.entries[0][0], BiJet) else "jet"
+    def entries(self) -> tuple:
+        """The entries as lowest-terms :class:`Jet` (or :class:`BiJet`) values,
+        built from the numerator grid on first use."""
+        if self._entries is None:
+            self._entries = tuple(tuple(self._value(e) for e in row) for row in self.nums)
+        return self._entries
 
-    @property
-    def x_order(self) -> Optional[int]:
-        return self.entries[0][0].x_order
-
-    @property
-    def t_order(self) -> Optional[int]:
-        return self.entries[0][0].t_order
+    def _value(self, e: list):
+        """The entry with t-levels ``e`` as a lowest-terms jet (or bi-jet)."""
+        if self.kind == "jet":
+            return Jet._of(e[0], self.den, self.x_order)
+        levels = [Jet._of(lv, self.den, self.x_order) for lv in e]
+        return BiJet._of(levels, self.x_order, self.t_order)
 
     def entry(self, i: int, j: int):
         return self.entries[i][j]
@@ -529,36 +482,52 @@ class MatrixJet:
         if not isinstance(other, MatrixJet):
             raise RealizationMismatchError("expected a MatrixJet operand")
         if other.dim != self.dim:
-            raise RealizationMismatchError(
-                f"matrix dimensions differ: {self.dim} vs {other.dim}"
-            )
+            raise RealizationMismatchError(f"matrix dimensions differ: {self.dim} vs {other.dim}")
 
     def promote(self) -> "MatrixJet":
         """Embed a jet-kind matrix as a t-constant bi-jet matrix."""
         if self.kind == "bijet":
             return self
-        return MatrixJet([[BiJet.from_jet(v) for v in row] for row in self.entries])
+        return MatrixJet._new("bijet", self.nums, self.den, self.x_order, None)
 
     # -- ring operations ---------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, op) -> "MatrixJet":
+        """``op`` (add or sub) entry by entry, valid to the smaller orders."""
         self._pair(other)
-        return MatrixJet(
-            [[v + w for v, w in zip(row, orow)] for row, orow in zip(self.entries, other.entries)]
-        )
+        xo, to = _omin(self.x_order, other.x_order), _omin(self.t_order, other.t_order)
+        nx = None if xo is None else xo + 1
+        nt = None if to is None else to + 1
+        kind = "jet" if self.kind == other.kind == "jet" else "bijet"
+        g = gcd(self.den, other.den)
+        a, b = _scaled(self.nums, other.den // g), _scaled(other.nums, self.den // g)
+        if xo is not None and (self.kind, self.x_order, self.t_order) == (
+                other.kind, other.x_order, other.t_order) and (nt or self.kind == "jet"):
+            # one shape on both sides: every entry has the same levels, of nx numerators
+            nums = [[[list(map(op, la, lb)) for la, lb in zip(ea, eb)] for ea, eb in zip(ra, rb)]
+                    for ra, rb in zip(a, b)]
+        else:
+            nums = [[_levelwise(ea, eb, op, nx, nt) for ea, eb in zip(ra, rb)]
+                    for ra, rb in zip(a, b)]
+        return MatrixJet._of(kind, nums, self.den // g * other.den, xo, to)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
-        return MatrixJet([[-v for v in row] for row in self.entries])
+        nums = [[[[-v for v in lv] for lv in e] for e in row] for row in self.nums]
+        return MatrixJet._new(self.kind, nums, self.den, self.x_order, self.t_order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MatrixJet([[v * other for v in row] for row in self.entries])
+            q = _frac(other)
+            return MatrixJet._of(self.kind, _scaled(self.nums, q.numerator),
+                                 self.den * q.denominator, self.x_order, self.t_order)
         self._pair(other)
-        xo, to = _omin(self.x_order, other.x_order), _omin(self.t_order, other.t_order)
-        return MatrixJet(_product(self.entries, other.entries, xo, to))
+        return _product(self, other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -566,43 +535,71 @@ class MatrixJet:
         return NotImplemented
 
     def d(self) -> "MatrixJet":
-        return MatrixJet([[v.d() for v in row] for row in self.entries])
+        if self.x_order == 0:
+            raise PrecisionExhaustedError("derivative of an order-0 jet")
+        xo = None if self.x_order is None else self.x_order - 1
+        nums = [[[[k * lv[k] for k in range(1, len(lv))] or [0] for lv in e] for e in row]
+                for row in self.nums]
+        return MatrixJet._of(self.kind, nums, self.den, xo, self.t_order)
 
     def d0(self) -> "MatrixJet":
         if self.kind == "jet":
             raise UnsupportedRealizationError(
                 "d0 needs the two-variable realization; promote to bi-jets first"
             )
-        return MatrixJet([[v.dt() for v in row] for row in self.entries])
+        if self.t_order == 0:
+            raise PrecisionExhaustedError("t-derivative of a t-order-0 bi-jet")
+        to = None if self.t_order is None else self.t_order - 1
+        nums = [[[[m * v for v in e[m]] for m in range(1, len(e))] or [_zeros(self.x_order)]
+                 for e in row] for row in self.nums]
+        return MatrixJet._of("bijet", nums, self.den, self.x_order, to)
 
     def star(self) -> "MatrixJet":
         """Involution: transpose and reflect the series argument (x -> -x)."""
-        return MatrixJet(
-            [[self.entries[j][i].reflect() for j in range(self.dim)] for i in range(self.dim)]
-        )
+        nums = [[[[-v if k % 2 else v for k, v in enumerate(lv)] for lv in e] for e in col]
+                for col in zip(*self.nums)]
+        return MatrixJet._new(self.kind, nums, self.den, self.x_order, self.t_order)
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for row in self.entries for v in row)
+        return not any(any(lv) for row in self.nums for e in row for lv in e)
 
     def __eq__(self, other):
+        """Equality on the jointly valid orders."""
         if not isinstance(other, MatrixJet):
             return NotImplemented
-        if other.dim != self.dim:
-            return False
-        return all(v == w for row, orow in zip(self.entries, other.entries)
-                   for v, w in zip(row, orow))
+        return other.dim == self.dim and (self - other).is_zero()
 
     __hash__ = None
 
     def truncate(self, x_order: Optional[int], t_order: Optional[int] = None) -> "MatrixJet":
-        return MatrixJet([[v.truncate(x_order, t_order) for v in row] for row in self.entries])
+        """Truncate to ``(x_order, t_order)``; a jet-kind matrix ignores the t-order."""
+        xo, to = self.x_order, self.t_order
+        if self.kind == "jet":
+            t_order = None
+        elif t_order is None and to is not None:
+            raise PrecisionExhaustedError("cannot promote a finite t-order to exact")
+        elif None not in (t_order, to) and t_order > to:
+            raise PrecisionExhaustedError(f"cannot extend valid t-order {to} to {t_order}")
+        if x_order is None and xo is not None:
+            raise PrecisionExhaustedError("cannot promote a finite-order jet to exact")
+        if None not in (x_order, xo) and x_order > xo:
+            raise PrecisionExhaustedError(f"cannot extend valid order {xo} to {x_order}")
+        if (x_order, t_order) == (xo, to):
+            return self
+        nums = self.nums
+        if x_order != xo:
+            nums = [[[_fit(lv, x_order + 1) for lv in e] for e in row] for row in nums]
+        if t_order != to:
+            nums = [[_fit(e, t_order + 1, _zeros(x_order)) for e in row] for row in nums]
+        return MatrixJet._of(self.kind, nums, self.den, x_order, t_order)
 
     # -- series inversion ------------------------------------------------------------
 
     def invert(self) -> "MatrixJet":
         """Multiplicative inverse to the stored truncation orders.
 
-        The constant (x=0, t=0) matrix must be invertible.  The t^0 level A_0 is
+        The constant (x=0, t=0) matrix must be invertible; its inverse comes from
+        fraction-free elimination on its numerators.  The t^0 level A_0 is
         inverted in x: exact inputs must be constant there (a non-constant
         polynomial has no polynomial inverse, so a finite x-order is required
         first); finite x-orders use Newton iteration X <- X(2I - A_0 X) from the
@@ -611,26 +608,26 @@ class MatrixJet:
         jet matrix has none, and an exact t-axis must have none.
         """
         levels = self.t_levels()
-        a0 = levels[0]
-        if self.x_order is None and any(len(v.nums) > 1 for row in a0.entries for v in row):
+        a0, xo = levels[0], self.x_order
+        if xo is None and any(len(e[0]) > 1 for row in a0.nums for e in row):
             raise PrecisionExhaustedError(
-                "inverting a non-constant exact series needs a finite truncation order"
-            )
-        const = [[v.at(0) for v in row] for row in a0.entries]
-        x, k = MatrixJet.constant(_mat_inv(const)).truncate(self.x_order), 0
+                "inverting a non-constant exact series needs a finite truncation order")
+        adj, det = _mat_inv([[e[0][0] for e in row] for row in a0.nums])
+        nums = [[[[a0.den * v]] for v in row] for row in adj]
+        x, k = MatrixJet._of("jet", nums, det, None, None).truncate(xo), 0
         two = MatrixJet.identity(self.dim) * 2
-        while self.x_order is not None and k < self.x_order:
-            k2 = min(2 * k + 1, self.x_order)
+        while xo is not None and k < xo:
+            k2 = min(2 * k + 1, xo)
             # X ≡ A⁻¹ mod x^{k+1} implies X(2I − AX) ≡ A⁻¹ mod x^{2k+2}, so the
             # iterate, valid to order k, is lifted to order k2 <= 2k + 1 here:
             # the one place the order ledger is extended.
-            x = MatrixJet([[Jet._of(list(v.nums), v.den, k2) for v in row] for row in x.entries])
+            lifted = [[[_fit(e[0], k2 + 1)] for e in row] for row in x.nums]
+            x = MatrixJet._new("jet", lifted, x.den, k2, None)
             x = x * (two - a0.truncate(k2) * x)
             k = k2
         if self.t_order is None and len(levels) > 1:
             raise PrecisionExhaustedError(
-                "inverting a t-dependent exact series needs a finite t-order"
-            )
+                "inverting a t-dependent exact series needs a finite t-order")
         if self.kind == "jet":
             return x
         out = [x]
@@ -645,23 +642,25 @@ class MatrixJet:
         """The x-jet matrices multiplying each power of t (just ``[self]`` for jets)."""
         if self.kind == "jet":
             return [self]
-        n = max(len(v.levels) for row in self.entries for v in row)
-        return [MatrixJet([[v.level(m) for v in row] for row in self.entries]) for m in range(n)]
+        n, zero = max(len(e) for row in self.nums for e in row), _zeros(self.x_order)
+        return [MatrixJet._of("jet", [[[e[m] if m < len(e) else zero] for e in row]
+                                      for row in self.nums], self.den, self.x_order, None)
+                for m in range(n)]
 
     @staticmethod
     def from_t_levels(levels: Sequence["MatrixJet"], t_order: Optional[int]) -> "MatrixJet":
-        """Assemble a bi-jet matrix from per-t-power x-jet matrices."""
+        """Assemble a bi-jet matrix from per-t-power jet-kind matrices."""
         xo = None
         for lv in levels:
             xo = _omin(xo, lv.x_order)
         levels = [lv.truncate(xo) for lv in levels]
-        dim = levels[0].dim
-        return MatrixJet(
-            [
-                [BiJet._of([lv.entries[i][j] for lv in levels], xo, t_order) for j in range(dim)]
-                for i in range(dim)
-            ]
-        )
+        den = lcm(*(lv.den for lv in levels))
+        grids = [_scaled(lv.nums, den // lv.den) for lv in levels]
+        nums = [[[g[i][j][0] for g in grids] for j in range(len(row))]
+                for i, row in enumerate(grids[0])]
+        if t_order is not None:
+            nums = [[_fit(e, t_order + 1, _zeros(xo)) for e in row] for row in nums]
+        return MatrixJet._of("bijet", nums, den, xo, t_order)
 
     def __repr__(self):
         return f"MatrixJet(dim={self.dim}, kind={self.kind}, x_order={self.x_order}, t_order={self.t_order})"

@@ -180,6 +180,58 @@ def test_huge_exponent_is_a_domain_error(tmp_path):
     assert proc.stderr == "error: line 2: exponent larger than 1000 (at offset 2)\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--ring", "jet", "--dim", "100000", "bell", "--side", "left", "--n", "1", "--s", "x"],
+         "jet session needs (x-order + 1) * dim^2 * (t-order + 1) = 170000000000 stored "
+         "coefficients, more than 1000000"),
+        (["--ring", "jet", "--x-order", "1000000000", "bell", "--side", "left", "--n", "1"],
+         "jet session needs (x-order + 1) * dim^2 * (t-order + 1) = 1000000001 stored "
+         "coefficients, more than 1000000"),
+        # one coefficient over the budget
+        (["--ring", "jet", "--x-order", "1000000", "bell", "--side", "left", "--n", "1"],
+         "jet session needs (x-order + 1) * dim^2 * (t-order + 1) = 1000001 stored "
+         "coefficients, more than 1000000"),
+        (["--ring", "bijet", "--dim", "10", "--x-order", "999", "--t-order", "99",
+          "bell", "--side", "left", "--n", "1"],
+         "jet session needs (x-order + 1) * dim^2 * (t-order + 1) = 10000000 stored "
+         "coefficients, more than 1000000"),
+        # an order-0 operator puts no x-order bound on the t-order
+        (["--ring", "jet", "--x-order", "4", "propagate", "d0.op", "--phi0", "seed.ic",
+          "--t-order", "100000"], "--t-order larger than 1000"),
+        (["--ring", "jet", "--dim", "9", "--x-order", "4000", "verify-matveev", "d0.op",
+          "--phi0", "seed.ic", "--psi0", "seed.ic", "--t-order", "300"],
+         "jet session needs (x-order + 1) * dim^2 * (t-order + 1) = 97548381 stored "
+         "coefficients, more than 1000000"),
+    ],
+    ids=["dim", "x-order", "x-order-boundary", "bijet", "propagate-t-order", "matveev-sizes"],
+)
+def test_oversized_jet_sessions_are_domain_errors(argv, message, tmp_path):
+    """A fresh interpreter with a deadline: refused sizes are never allocated."""
+    files = {"d0.op": "a[0] = e\n", "seed.ic": "entry[0][0] = 1 + x\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / name) if a == name else a for a in argv]
+    src = str(Path(bellops.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "bellops", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+def test_t_order_counts_only_where_series_in_t_are_built(tmp_path):
+    # a jet session keeps one t-level unless the command propagates in t
+    code, out, _ = run(["--ring", "jet", "--x-order", "9", "--t-order", "5000",
+                        "bell", "--side", "left", "--n", "1", "--s", "x"])
+    assert code == 0 and out.startswith("order: x=9")
+    files = {"d0.op": "a[0] = 2*e\n", "seed.ic": "entry[0][0] = 1\n"}
+    code, out, err = run(["--ring", "jet", "--x-order", "0", "propagate", "d0.op",
+                          "--phi0", "seed.ic", "--t-order", "1000"], files, tmp_path)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["order: x=0 t=1000", "x^0 t^0: [[1]]"]
+
+
 def test_long_literal_is_a_domain_error(tmp_path):
     """Literals past Python's own 4300-digit conversion limit fail at their offset."""
     long = "7" * 5000

@@ -244,6 +244,32 @@ def test_propagate_budget_enforced():
         time_propagate(d_power_operator(real, 2), phi0, 2)
 
 
+@pytest.mark.parametrize(
+    "lam, coeffs, x_order, t_order",
+    [(F(3, 4), [F(-2, 3), F(1, 5), F(1, 2)], 12, 4), (F(-5, 2), [F(1, 3), 0, 0, F(-1, 7)], 10, 2)],
+    ids=["order-2", "order-3"],
+)
+def test_propagate_matches_sympy_series(lam, coeffs, x_order, t_order):
+    # dim 1, constant coefficients: phi0 = exp(lam x) evolves to exp(lam x + p(lam) t)
+    # with p(lam) = sum a_n lam^n, which sympy expands in x and t on its own
+    sympy = pytest.importorskip("sympy")
+    x, t = sympy.symbols("x t")
+    a = [sympy.Rational(c.numerator, c.denominator) for c in map(F, coeffs)]
+    rate = sympy.Rational(lam.numerator, lam.denominator)
+    p = sum(c * rate**n for n, c in enumerate(a))
+    L = DiffOperator([MatrixJet.constant([[c]]) for c in coeffs])
+    phi = time_propagate(L, MatrixJet.scalar(exp_jet(lam, x_order)), t_order)
+    valid = x_order - L.order * t_order
+    assert (phi.kind, phi.x_order, phi.t_order) == ("bijet", valid, t_order)
+    in_t = sympy.series(sympy.exp(rate * x + p * t), t, 0, t_order + 1).removeO()
+    expected = sympy.Poly(sympy.series(in_t, x, 0, valid + 1).removeO(), x, t)
+    entry = phi.entry(0, 0)
+    for i in range(valid + 1):
+        for j in range(t_order + 1):
+            c = expected.coeff_monomial(x**i * t**j)
+            assert entry.at(i, j) == F(int(c.p), int(c.q)), (i, j)
+
+
 def test_propagate_rejects_bijet_input():
     real = MatrixRealization(1)
     phi0 = MatrixJet.scalar(Jet((0, 1), 8)).promote()

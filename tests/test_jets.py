@@ -1,6 +1,7 @@
 """Truncated-series arithmetic: precision ledger, involution, inversion."""
 
 import functools
+import itertools
 import operator
 import random
 from fractions import Fraction as F
@@ -667,6 +668,91 @@ def test_stored_jets_are_in_lowest_terms(a, b, q, cut):
         assert j.den > 0 and gcd(j.den, *j.nums) == 1
         assert j.order is None or len(j.nums) == j.order + 1
     assert a * b == b * a
+
+
+def _assert_stored_in_lowest_terms(m):
+    """One positive den, coprime to the numerators as a whole, and entry lengths that
+    match the order ledger: n + 1 of each finite order n, no trailing zeros on an
+    exact axis, one t-level per jet-kind entry."""
+    numerators = [v for row in m.nums for e in row for lv in e for v in lv]
+    assert m.den > 0 and gcd(m.den, *numerators) == 1
+    assert len(m.nums) == m.dim and all(len(row) == m.dim for row in m.nums)
+    for e in (e for row in m.nums for e in row):
+        if m.kind == "jet":
+            assert len(e) == 1 and m.t_order is None
+        elif m.t_order is not None:
+            assert len(e) == m.t_order + 1
+        else:
+            assert len(e) == 1 or any(e[-1])
+        for lv in e:
+            if m.x_order is not None:
+                assert len(lv) == m.x_order + 1
+            else:
+                assert len(lv) == 1 or lv[-1] != 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_matrix_results_are_stored_in_lowest_terms(data):
+    dim = data.draw(st.integers(1, 3))
+    (a, _), (b, _) = data.draw(_matrix_with_model(dim)), data.draw(_matrix_with_model(dim))
+    q = data.draw(_fraction)
+    results = [a, b, a + b, a - b, b - a, a * b, b * a, -a, a * q, q * a, a.star(), a.promote(),
+               *a.t_levels(), MatrixJet.from_t_levels(a.t_levels(), a.t_order)]
+    if a.x_order != 0:
+        results.append(a.d())
+    if a.kind == "bijet" and a.t_order != 0:
+        results.append(a.d0())
+    if a.x_order is None or a.x_order > 0:
+        results.append(a.truncate(1 if a.x_order is None else a.x_order - 1, a.t_order))
+    # a constant term of I makes an inverse exist whenever the t-axis allows one
+    x = MatrixJet.diagonal(x_jet(6 if a.x_order is None else a.x_order), dim)
+    shifted = MatrixJet.identity(dim) + a * x
+    if shifted.kind == "jet" or shifted.t_order is not None:
+        results.append(shifted.invert())
+    try:
+        results.append(a.invert())
+    except (SingularConstantTermError, PrecisionExhaustedError):
+        pass
+    for m in results:
+        _assert_stored_in_lowest_terms(m)
+    # the entries view reads the same values in lowest terms per entry and t-level
+    for v in (e for row in (a * b).entries for e in row):
+        assert all(lv.den > 0 and gcd(lv.den, *lv.nums) == 1 for lv in v.levels)
+
+
+def _leibniz_det(a):
+    """Determinant as a signed sum over permutations, independent of elimination."""
+    n, total = len(a), 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, p in enumerate(perm):
+            term *= a[i][p]
+        total += term
+    return total
+
+
+_square = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3) | st.integers(-(2**70), 2**70), min_size=n, max_size=n),
+    min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_square)
+def test_fraction_free_inverse(a):
+    det = _leibniz_det(a)
+    if det == 0:
+        with pytest.raises(SingularConstantTermError):
+            jets_module._mat_inv(a)
+        return
+    adj, d = jets_module._mat_inv(a)
+    # the denominator is Bareiss's last pivot, the determinant, made positive
+    assert d == abs(det)
+    n = len(a)
+    for i in range(n):
+        for j in range(n):
+            assert sum(F(a[i][k]) * F(adj[k][j], d) for k in range(n)) == (i == j)
 
 
 def _random_invertible(rng, dim, order):
