@@ -285,6 +285,16 @@ def _reduced(nums, den: int):
     return [[[[v // g for v in lv] for lv in e] for e in row] for row in nums], den // g
 
 
+def _lowest(kind: str, nums, den: int, xo: Optional[int], to: Optional[int]):
+    """``(nums, den)`` without trailing zeros on exact axes, in lowest terms (one
+    gcd pass); finite axes must already have their lengths."""
+    if xo is None:
+        nums = [[[_trim(lv) for lv in e] for e in row] for row in nums]
+    if to is None and kind == "bijet":
+        nums = [[_trim(e, any) for e in row] for row in nums]
+    return _reduced(nums, den)
+
+
 def _levelwise(ea: list, eb: list, op, nx: Optional[int], nt: Optional[int]) -> list:
     """Level by level ``op`` of two entries' t-levels, to ``nx`` coefficients and
     ``nt`` levels (None: as many as the longer operand has)."""
@@ -400,8 +410,8 @@ class MatrixJet:
             nums = [[[_fit(lv, nx) for lv in e] for e in row] for row in nums]
         if to is not None:  # a jet among bi-jets is t-constant: one level, padded
             nums = [[_fit(e, to + 1, _zeros(xo)) for e in row] for row in nums]
-        nums, den = _reduced(nums, den)
-        self._set("bijet" if BiJet in kinds else "jet", nums, den, xo, to)
+        kind = "bijet" if BiJet in kinds else "jet"
+        self._set(kind, *_lowest(kind, nums, den, xo, to), xo, to)
 
     def _set(self, kind, nums, den, xo, to):
         self.dim, self.kind, self.nums, self.den = len(nums), kind, nums, den
@@ -416,13 +426,8 @@ class MatrixJet:
 
     @classmethod
     def _of(cls, kind: str, nums: list, den: int, xo, to) -> "MatrixJet":
-        """Matrix over a grid whose finite axes already have their lengths: drops
-        trailing zeros on exact axes and reduces to lowest terms (one gcd pass)."""
-        if xo is None:
-            nums = [[[_trim(lv) for lv in e] for e in row] for row in nums]
-        if to is None and kind == "bijet":
-            nums = [[_trim(e, any) for e in row] for row in nums]
-        return cls._new(kind, *_reduced(nums, den), xo, to)
+        """Matrix over a grid whose finite axes already have their lengths."""
+        return cls._new(kind, *_lowest(kind, nums, den, xo, to), xo, to)
 
     # -- constructors -----------------------------------------------------------
 
@@ -501,14 +506,7 @@ class MatrixJet:
         kind = "jet" if self.kind == other.kind == "jet" else "bijet"
         g = gcd(self.den, other.den)
         a, b = _scaled(self.nums, other.den // g), _scaled(other.nums, self.den // g)
-        if xo is not None and (self.kind, self.x_order, self.t_order) == (
-                other.kind, other.x_order, other.t_order) and (nt or self.kind == "jet"):
-            # one shape on both sides: every entry has the same levels, of nx numerators
-            nums = [[[list(map(op, la, lb)) for la, lb in zip(ea, eb)] for ea, eb in zip(ra, rb)]
-                    for ra, rb in zip(a, b)]
-        else:
-            nums = [[_levelwise(ea, eb, op, nx, nt) for ea, eb in zip(ra, rb)]
-                    for ra, rb in zip(a, b)]
+        nums = [[_levelwise(ea, eb, op, nx, nt) for ea, eb in zip(ra, rb)] for ra, rb in zip(a, b)]
         return MatrixJet._of(kind, nums, self.den // g * other.den, xo, to)
 
     def __add__(self, other):

@@ -294,6 +294,17 @@ def test_shared_orders_normalization():
     assert m.x_order == 0
 
 
+def test_cut_to_shared_x_order_drops_zero_levels_of_an_exact_t_axis():
+    # the bi-jet is 1 + x^3 t: the cut to the shared x-order 1 leaves a zero
+    # t^1 level, which an exact t-axis does not keep
+    b = BiJet([[1, 0], [0, 0], [0, 0], [0, 1]], 3, None)
+    m = MatrixJet([[b, Jet((0,), 1)], [Jet((0,), 1), Jet((1,), 1)]])
+    assert (m.kind, m.x_order, m.t_order, m.nums[0][0]) == ("bijet", 1, None, [[1, 0]])
+    _assert_stored_in_lowest_terms(m)
+    assert len(m.t_levels()) == 1
+    assert m.invert() == m == MatrixJet.identity(2)
+
+
 def test_matrix_involution_axioms():
     rng = random.Random(3)
     for _ in range(10):
@@ -579,8 +590,10 @@ def _matrix_with_model(draw, dim):
     entries, rows_of = [], []
     for _ in range(dim * dim):
         shape = draw(st.sampled_from(("zero", "constant", "series", "series")))
+        # a series entry sometimes carries more x-order than the matrix keeps
+        more = 0 if xo is None or shape != "series" else draw(st.sampled_from((0, 0, 1, 2)))
         den = draw(st.integers(1, 7) | st.integers(1, 2**64) if wide else st.integers(1, 7))
-        nx = 1 if shape != "series" else draw(st.integers(1, 10 if xo is None else xo + 2))
+        nx = 1 if shape != "series" else draw(st.integers(1, 10 if xo is None else xo + more + 2))
         nt = 1 if shape != "series" or kind == "jet" else draw(
             st.integers(1, 3 if to is None else to + 2))
         rows = [[F(draw(_numerator if wide else st.integers(-3, 3)), den) if shape != "zero" else 0
@@ -588,7 +601,7 @@ def _matrix_with_model(draw, dim):
                 for _ in range(nx)]
         # a constant or zero entry is sometimes exact inside a finite-order matrix
         exact = shape != "series" and draw(st.booleans())
-        exo, eto = (None, None) if exact else (xo, to)
+        exo, eto = (None, None) if exact else (None if xo is None else xo + more, to)
         entries.append(Jet([r[0] for r in rows], exo) if kind == "jet" and not exact
                        else BiJet(rows, exo, eto) if kind == "bijet" and not exact
                        else Jet.constant(rows[0][0]))
@@ -705,6 +718,10 @@ def test_matrix_results_are_stored_in_lowest_terms(data):
         results.append(a.d0())
     if a.x_order is None or a.x_order > 0:
         results.append(a.truncate(1 if a.x_order is None else a.x_order - 1, a.t_order))
+    # the boundary constructor cuts every entry to the smallest x-order among them
+    rows = [list(row) for row in a.entries]
+    rows[0][0] = rows[0][0].truncate(0, a.t_order)
+    results.append(MatrixJet(rows))
     # a constant term of I makes an inverse exist whenever the t-axis allows one
     x = MatrixJet.diagonal(x_jet(6 if a.x_order is None else a.x_order), dim)
     shifted = MatrixJet.identity(dim) + a * x
