@@ -40,6 +40,7 @@ from .errors import (
     PrecisionExhaustedError,
     RealizationMismatchError,
     SingularConstantTermError,
+    TermBudgetError,
     UndeclaredGeneratorError,
     UnsupportedRealizationError,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "PrecisionExhaustedError",
     "RealizationMismatchError",
     "SingularConstantTermError",
+    "TermBudgetError",
     "UndeclaredGeneratorError",
     "UnsupportedRealizationError",
     "audit_transformed_coefficients",

@@ -72,19 +72,12 @@ def divide_left(L: DiffOperator, s, table: BellTable = None) -> DivisionOutcome:
     # independent path: unrolled alternating powers of L_s
     powers = _ls_power_columns(L, s)
     for n in range(n_top):
-        alt = None
-        for k in range(n + 1, n_top + 1):
-            term = powers[k][k - n - 1]
-            if (k - n - 1) % 2:
-                term = -term
-            alt = term if alt is None else alt + term
-        if not (alt == b[n]):
+        if not (_alternating_sum(powers, n) == b[n]):
             raise ConsistencyError(
                 f"left-division coefficient b_{n} differs between the recursion "
                 "and the power-expansion form"
             )
-    alt_remainder = _ls_power_remainder(powers)
-    if not (alt_remainder == remainder):
+    if not (_alternating_sum(powers, -1) == remainder):
         raise ConsistencyError(
             "left-division remainder differs between the recursion and the "
             "power-expansion form"
@@ -93,22 +86,24 @@ def divide_left(L: DiffOperator, s, table: BellTable = None) -> DivisionOutcome:
     return DivisionOutcome(quotient, remainder, "left", remainder.is_zero())
 
 
-def _ls_power_columns(L: DiffOperator, s):
+def _ls_power_columns(L: DiffOperator, s) -> list:
     """powers[k][j] = L_s^j applied to the coefficient a_k, j = 0..k."""
-    columns = {}
+    powers = []
     for k in range(L.order + 1):
         col = [L.coeff(k)]
         for _ in range(k):
             col.append(ls_apply(col[-1], s))
-        columns[k] = col
-    return columns
+        powers.append(col)
+    return powers
 
 
-def _ls_power_remainder(powers):
+def _alternating_sum(powers: list, n: int):
+    """sum_{k>n} (-1)^(k-n-1) L_s^(k-n-1)(a_k): the power form of b_n, and of the
+    remainder r^+ at n = -1."""
     acc = None
-    for k, col in powers.items():
-        term = col[k]
-        if k % 2:
+    for k in range(n + 1, len(powers)):
+        term = powers[k][k - n - 1]
+        if (k - n - 1) % 2:
             term = -term
         acc = term if acc is None else acc + term
     return acc
@@ -124,7 +119,7 @@ def riccati_residual(L: DiffOperator, s, side: str, table: BellTable = None):
     if side == "right":
         return _right_remainder(L, table or BellTable(s))
     if side == "left":
-        return _ls_power_remainder(_ls_power_columns(L, s))
+        return _alternating_sum(_ls_power_columns(L, s), -1)
     raise ValueError("side must be 'left' or 'right'")
 
 

@@ -22,6 +22,10 @@ class InsufficientOrderError(PrecisionExhaustedError):
     """A precision budget (x-order vs. requested t-order) is violated up front."""
 
 
+class TermBudgetError(KernelError):
+    """A free-ring product would have more term pairs than the fixed budget."""
+
+
 class SingularConstantTermError(KernelError):
     """Series inversion failed: the constant coefficient matrix is singular."""
 

@@ -16,9 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .errors import RealizationMismatchError
+from .errors import RealizationMismatchError, TermBudgetError
 
 RESERVED_NAMES = frozenset({"e", "D", "D0", "x", "t"})
+# A product of elements with a and b terms forms a * b term pairs; at most this
+# many are formed, so for one generator s, B_n(s) (2^(n-1) words) is reached up
+# to n = 16 and (s + D(s))^k (2^k words) up to k = 14.
+MAX_TERMS = 2**14
 
 
 class Letter(NamedTuple):
@@ -148,6 +152,10 @@ class FreeElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
+        pairs = len(self._terms) * len(other._terms)
+        if pairs > MAX_TERMS:
+            raise TermBudgetError(
+                f"free-ring product of {pairs} term pairs exceeds the budget of {MAX_TERMS}")
         terms: dict = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():

@@ -14,15 +14,16 @@ inversion is Newton iteration in x from a fraction-free inverse of the constant
 term, then a recurrence over the higher t-levels.
 
 :class:`Jet` (x only) and :class:`BiJet` (t-levels that are x-jets of one
-x-order) are the entry values at the API boundary: :attr:`MatrixJet.entries`
-builds them on demand, and their arithmetic is matrix arithmetic on 1 x 1
-matrices.  A jet answers the bi-jet interface as one exact t-level.
+x-order) are the entry values at the API boundary.  Each is a view of a 1 x 1
+matrix and keeps no storage of its own, so every series has one grid and one
+normalization (:func:`_lowest`); their arithmetic is the matrix arithmetic on
+those 1 x 1 matrices.  A jet answers the bi-jet interface as one exact t-level.
 """
 
 from __future__ import annotations
 
 import operator
-from operator import methodcaller
+from operator import attrgetter, methodcaller
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -62,15 +63,13 @@ def _entrywise(op, *values):
     for v in values:
         if isinstance(v, (int, Fraction)) and op is not operator.mul:
             v = Jet.constant(v)
-        if isinstance(v, Jet):  # already in lowest terms and fitted to its order
-            v = MatrixJet._new("jet", [[[list(v.nums)]]], v.den, v.order, None)
-        elif isinstance(v, BiJet):
-            v = MatrixJet([[v]])
+        if isinstance(v, (Jet, BiJet)):
+            v = v._m
         elif not isinstance(v, (int, Fraction)):
             return NotImplemented
         mats.append(v)
     out = op(*mats)
-    return out._value(out.nums[0][0]) if isinstance(out, MatrixJet) else out
+    return _view(out) if isinstance(out, MatrixJet) else out
 
 
 def _lifted(op, reflected: bool = False):
@@ -80,19 +79,38 @@ def _lifted(op, reflected: bool = False):
     return lambda self, *others: _entrywise(op, self, *others)
 
 
+def _view(m: "MatrixJet"):
+    """The 1 x 1 matrix ``m`` as its entry: a :class:`Jet` or a :class:`BiJet`."""
+    v = object.__new__(Jet if m.kind == "jet" else BiJet)
+    v._m = m
+    return v
+
+
+def _coefficient(m: "MatrixJet", i: int, j: int) -> Fraction:
+    """Coefficient of x^i t^j of the 1 x 1 matrix ``m``; beyond storage only an
+    exact axis may answer."""
+    if m.t_order is not None and j > m.t_order:
+        raise PrecisionExhaustedError(f"t^{j} beyond valid t-order {m.t_order}")
+    if m.x_order is not None and i > m.x_order:
+        raise PrecisionExhaustedError(f"coefficient x^{i} beyond valid order {m.x_order}")
+    e = m.nums[0][0]
+    return Fraction(e[j][i], m.den) if j < len(e) and i < len(e[j]) else Fraction(0)
+
+
 class Jet:
     """Truncated power series in one variable with exact coefficients.
 
-    The coefficient of x^k is ``nums[k] / den``: integer numerators over one
-    positive denominator, in lowest terms (``gcd(den, *nums) == 1``), so equal
-    exact jets have equal ``(nums, den)``.  Fractions appear only at the API
-    boundary (the constructor, :meth:`at` and :attr:`coeffs`).
+    A jet is a view of a 1 x 1 jet-kind :class:`MatrixJet`, ``_m``: the
+    coefficient of x^k is ``nums[k] / den``, integer numerators over one positive
+    denominator in lowest terms, so equal exact jets have equal ``(nums, den)``.
+    Fractions appear only at the API boundary (the constructor, :meth:`at` and
+    :attr:`coeffs`).
 
     A jet also answers the bi-jet interface (:attr:`x_order`, :attr:`t_order`,
     :attr:`levels`, :meth:`truncate`) as a bi-jet with one exact t-level.
     """
 
-    __slots__ = ("nums", "den", "order")
+    __slots__ = ("_m",)
     t_order = None
 
     def __init__(self, coeffs: Iterable, order: Optional[int] = None):
@@ -100,51 +118,30 @@ class Jet:
             raise ValueError("jet order must be >= 0")
         cs = [_frac(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
-        self._set([c.numerator * (den // c.denominator) for c in cs], den, order)
-
-    def _set(self, nums: list, den: int, order: Optional[int]):
-        if order is None:
-            nums = _trim(nums) or [0]
-        else:
+        nums = [c.numerator * (den // c.denominator) for c in cs] or [0]
+        if order is not None:
             nums = _fit(nums, order + 1)
-        g = gcd(den, *nums)
-        if g != 1:
-            nums = [v // g for v in nums]
-            den //= g
-        self.nums = tuple(nums)
-        self.den = den
-        self.order = order
-
-    @classmethod
-    def _of(cls, nums: list, den: int, order: Optional[int]) -> "Jet":
-        """Jet of ``nums / den`` at ``order``; reduces, pads and truncates."""
-        j = cls.__new__(cls)
-        j._set(nums, den, order)
-        return j
+        self._m = MatrixJet._of("jet", [[[nums]]], den, order, None)
 
     @classmethod
     def constant(cls, value) -> "Jet":
         return cls((_frac(value),), None)
 
+    nums = property(lambda self: tuple(self._m.nums[0][0][0]))
+    den = property(attrgetter("_m.den"))
+    order = x_order = property(attrgetter("_m.x_order"))
+
     @property
     def coeffs(self) -> tuple:
         """The stored coefficients of x^0, x^1, ... as Fractions."""
-        return tuple(Fraction(v, self.den) for v in self.nums)
+        return tuple(Fraction(v, self._m.den) for v in self._m.nums[0][0][0])
 
     def at(self, k: int) -> Fraction:
         """Coefficient of x^k; beyond storage only exact jets may answer."""
-        if k < len(self.nums):
-            return Fraction(self.nums[k], self.den)
-        if self.order is None:
-            return Fraction(0)
-        raise PrecisionExhaustedError(f"coefficient x^{k} beyond valid order {self.order}")
+        return _coefficient(self._m, k, 0)
 
     def is_zero(self) -> bool:
-        return not any(self.nums)
-
-    @property
-    def x_order(self) -> Optional[int]:
-        return self.order
+        return self._m.is_zero()
 
     @property
     def levels(self) -> tuple:
@@ -169,12 +166,13 @@ class Jet:
 class BiJet:
     """Truncated series in t whose coefficients are x-jets of one shared x-order.
 
+    A bi-jet is a view of a 1 x 1 bi-jet-kind :class:`MatrixJet`, ``_m``;
     ``levels[j]`` is the x-jet multiplying t^j.  Binary operations are valid to
     the minimum orders on each axis, ``dx`` and ``dt`` each cost one order, and
     an exact t-axis (``t_order=None``) keeps no trailing zero levels.
     """
 
-    __slots__ = ("levels", "x_order", "t_order")
+    __slots__ = ("_m",)
 
     def __init__(self, rows, x_order: Optional[int] = None, t_order: Optional[int] = None):
         """``rows[i][j]`` is the coefficient of x^i t^j."""
@@ -182,53 +180,45 @@ class BiJet:
             raise ValueError("t-order must be >= 0")
         rows = [list(r) for r in rows]
         nt = max([len(r) for r in rows] + [1])
-        levels = [Jet([r[j] if j < len(r) else 0 for r in rows], x_order) for j in range(nt)]
-        self._set(levels, x_order, t_order)
-
-    def _set(self, levels: list, x_order: Optional[int], t_order: Optional[int]):
-        if t_order is None:
-            levels = _trim(levels, lambda lv: any(lv.nums))
-        else:
-            levels = _fit(levels, t_order + 1, Jet((0,), x_order))
-        self.levels = tuple(levels)
-        self.x_order = x_order
-        self.t_order = t_order
-
-    @classmethod
-    def _of(cls, levels: list, x_order: Optional[int], t_order: Optional[int]) -> "BiJet":
-        """Bi-jet over ``levels``, which must all have x-order ``x_order``."""
-        b = cls.__new__(cls)
-        b._set(levels, x_order, t_order)
-        return b
+        levels = [Jet([r[j] if j < len(r) else 0 for r in rows], x_order)._m for j in range(nt)]
+        self._m = MatrixJet.from_t_levels(levels, t_order)
 
     @classmethod
     def from_jet(cls, jet: Jet) -> "BiJet":
         """Embed an x-jet as a t-constant bi-jet (exactly known in t)."""
-        return cls._of([jet], jet.order, None)
+        return _view(jet._m.promote())
 
     @classmethod
     def constant(cls, value) -> "BiJet":
         return cls.from_jet(Jet.constant(value))
 
+    x_order, t_order = property(attrgetter("_m.x_order")), property(attrgetter("_m.t_order"))
+
+    @property
+    def levels(self) -> tuple:
+        return tuple(map(self.level, range(len(self._m.nums[0][0]))))
+
     @property
     def coeffs(self):
         """x-major grid: ``coeffs[i][j]`` is the coefficient of x^i t^j."""
-        nx = max(len(lv.nums) for lv in self.levels)
-        return tuple(tuple(lv.at(i) for lv in self.levels) for i in range(nx))
+        e, den = self._m.nums[0][0], self._m.den
+        nx = max(map(len, e))
+        return tuple(tuple(Fraction(lv[i], den) if i < len(lv) else Fraction(0) for lv in e)
+                     for i in range(nx))
 
     def level(self, j: int) -> Jet:
         """The x-jet multiplying t^j; beyond storage only an exact t-axis may answer."""
-        if j < len(self.levels):
-            return self.levels[j]
-        if self.t_order is not None:
-            raise PrecisionExhaustedError(f"t^{j} beyond valid t-order {self.t_order}")
-        return Jet((0,), self.x_order)
+        m, e = self._m, self._m.nums[0][0]
+        if m.t_order is not None and j > m.t_order:
+            raise PrecisionExhaustedError(f"t^{j} beyond valid t-order {m.t_order}")
+        lv = e[j] if j < len(e) else _zeros(m.x_order)
+        return _view(MatrixJet._of("jet", [[[lv]]], m.den, m.x_order, None))
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.level(j).at(i)
+        return _coefficient(self._m, i, j)
 
     def is_zero(self) -> bool:
-        return all(lv.is_zero() for lv in self.levels)
+        return self._m.is_zero()
 
     def truncate(self, x_order: Optional[int], t_order: Optional[int]) -> "BiJet":
         return _entrywise(methodcaller("truncate", x_order, t_order), self)
@@ -395,23 +385,21 @@ class MatrixJet:
         n = len(grid)
         if n == 0 or any(len(row) != n for row in grid):
             raise ValueError("entries must form a non-empty square grid")
-        kinds = {type(v) for row in grid for v in row}
-        if not kinds <= {Jet, BiJet}:
+        if not all(isinstance(v, (Jet, BiJet)) for row in grid for v in row):
             raise TypeError("entries must all be Jet or BiJet values")
+        cells = [[v._m for v in row] for row in grid]
         xo = to = None
-        for row in grid:
-            for v in row:
-                xo, to = _omin(xo, v.x_order), _omin(to, v.t_order)
-        den = lcm(*(lv.den for row in grid for v in row for lv in v.levels))
-        nx = None if xo is None else xo + 1
-        nums = [[[list(lv.nums[:nx]) if lv.den == den else [den // lv.den * c for c in lv.nums[:nx]]
-                  for lv in v.levels] for v in row] for row in grid]
-        if nx is not None:
-            nums = [[[_fit(lv, nx) for lv in e] for e in row] for row in nums]
-        if to is not None:  # a jet among bi-jets is t-constant: one level, padded
-            nums = [[_fit(e, to + 1, _zeros(xo)) for e in row] for row in nums]
-        kind = "bijet" if BiJet in kinds else "jet"
-        self._set(kind, *_lowest(kind, nums, den, xo, to), xo, to)
+        for row in cells:
+            for c in row:
+                xo, to = _omin(xo, c.x_order), _omin(to, c.t_order)
+        kind = "bijet" if any(c.kind == "bijet" for row in cells for c in row) else "jet"
+        if kind == "bijet":  # a jet among bi-jets is t-constant
+            cells = [[c.promote() for c in row] for row in cells]
+        cells = [[c.truncate(xo, to) for c in row] for row in cells]
+        # an lcm of lowest-terms denominators keeps the whole grid in lowest terms
+        den = lcm(*(c.den for row in cells for c in row))
+        nums = [[_scaled(c.nums, den // c.den)[0][0] for c in row] for row in cells]
+        self._set(kind, nums, den, xo, to)
 
     def _set(self, kind, nums, den, xo, to):
         self.dim, self.kind, self.nums, self.den = len(nums), kind, nums, den
@@ -449,9 +437,10 @@ class MatrixJet:
 
     @classmethod
     def diagonal(cls, jet: Jet, dim: int) -> "MatrixJet":
-        diag, zero = [list(jet.nums)], [_zeros(jet.order)]
+        m = jet._m
+        diag, zero = m.nums[0][0], [_zeros(m.x_order)]
         nums = [[diag if i == j else zero for j in range(dim)] for i in range(dim)]
-        return cls._new("jet", nums, jet.den, jet.order, None)
+        return cls._new("jet", nums, m.den, m.x_order, None)
 
     # -- realization plumbing and the entries view ----------------------------------
 
@@ -469,10 +458,7 @@ class MatrixJet:
 
     def _value(self, e: list):
         """The entry with t-levels ``e`` as a lowest-terms jet (or bi-jet)."""
-        if self.kind == "jet":
-            return Jet._of(e[0], self.den, self.x_order)
-        levels = [Jet._of(lv, self.den, self.x_order) for lv in e]
-        return BiJet._of(levels, self.x_order, self.t_order)
+        return _view(MatrixJet._of(self.kind, [[e]], self.den, self.x_order, self.t_order))
 
     def entry(self, i: int, j: int):
         return self.entries[i][j]

@@ -2,7 +2,16 @@
 
 from fractions import Fraction
 
-from bellops import DiffOperator, FreeElement, Jet, Letter, MatrixJet
+from bellops import (
+    DiffOperator,
+    FreeElement,
+    Jet,
+    Letter,
+    MatrixJet,
+    darboux_transform,
+    log_derivative,
+)
+from bellops.operators import ls_apply
 
 
 def random_word(rng, gens, max_len=2, max_d=2):
@@ -41,3 +50,22 @@ def random_matrix_operator(rng, dim, max_order, x_order):
     order = rng.randint(1, max_order)
     coeffs = [random_matrix_jet(rng, dim, x_order) for _ in range(order + 1)]
     return DiffOperator(coeffs)
+
+
+def darboux_chain(L, kernel):
+    """Iterated right Darboux transforms of ``L`` along its kernel elements.
+
+    Step i maps ``kernel[i]`` through the factors D - s_1, ..., D - s_(i-1) of
+    the earlier steps, takes s_i as the log-derivative of the image and
+    transforms the operator of step i - 1 by s_i.  Returns ``(steps, L_k)``:
+    ``steps[i] = (operator, mapped kernel element, s_i)``, where the operator
+    must annihilate the mapped element, and ``L_k`` is the last transform.
+    """
+    steps = []
+    for phi in kernel:
+        for _, _, s in steps:
+            phi = ls_apply(phi, s)
+        s = log_derivative(phi, "right")
+        steps.append((L, phi, s))
+        L = darboux_transform(L, s).transformed
+    return steps, L

@@ -220,6 +220,33 @@ def test_oversized_jet_sessions_are_domain_errors(argv, message, tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, pairs",
+    [
+        (["bell", "--side", "left", "--n", "20"], 32768),
+        (["bell", "--side", "left", "--n", "1", "--s", "(s + D(s))^40"], 65536),
+    ],
+    ids=["bell-n-20", "power-40"],
+)
+def test_free_products_over_the_term_budget_are_domain_errors(argv, pairs):
+    """A fresh interpreter with a deadline: B_20 took about a minute to build and
+    (s + D(s))^40 would not fit in memory before the term budget."""
+    src = str(Path(bellops.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "bellops", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (f"error: free-ring product of {pairs} term pairs exceeds "
+                           "the budget of 16384\n")
+
+
+def test_time_derivative_in_an_initial_condition_file_is_a_domain_error(tmp_path):
+    files = {"d0.op": "a[0] = e\n", "seed.ic": "entry[0][0] = D0(x)\n"}
+    code, out, err = run(["--ring", "jet", "--x-order", "4", "propagate", "d0.op",
+                          "--phi0", "seed.ic", "--t-order", "1"], files, tmp_path)
+    assert (code, out, err) == (1, "", "error: d0 is not defined in this realization\n")
+
+
 def test_t_order_counts_only_where_series_in_t_are_built(tmp_path):
     # a jet session keeps one t-level unless the command propagates in t
     code, out, _ = run(["--ring", "jet", "--x-order", "9", "--t-order", "5000",

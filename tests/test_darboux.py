@@ -27,7 +27,8 @@ from bellops import (
     transformed_coefficients,
     x_jet,
 )
-from helpers import random_free_operator, random_matrix_jet
+from bellops.operators import ls_apply
+from helpers import darboux_chain, random_free_operator, random_matrix_jet
 
 
 def commutator(a, b):
@@ -167,6 +168,38 @@ def test_matveev_psi_exponential_shift():
     psi = MatrixJet.scalar(exp_jet(mu, 16))
     s = log_derivative(phi, "right")
     assert matveev_psi(psi, s) == psi * (mu - lam)
+
+
+# -- iterated transforms against Crum's Wronskian formula ------------------------------
+
+
+def test_two_step_chain_matches_crum_wronskian_formula():
+    # L = D^3 with kernel elements phi1 = 1 + x^2 and phi2 = x at dim 1: the
+    # composite factor (D - s2)(D - s1) is the monic operator that annihilates
+    # phi1 and phi2, so on any f it gives W(phi1, phi2, f) / W(phi1, phi2)
+    # (Crum 1955; Matveev & Salle 1991), which sympy expands on its own
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    order = 14
+    real = MatrixRealization(1)
+    phi1, phi2 = MatrixJet.scalar(Jet([1, 0, 1], order)), MatrixJet.scalar(x_jet(order))
+    # the third kernel element 1 checks the second transform as well
+    phi3 = MatrixJet.identity(1).truncate(order)
+    steps, last = darboux_chain(d_power_operator(real, 3), [phi1, phi2, phi3])
+    for i, (op, mapped, _) in enumerate(steps):
+        image = op.apply(mapped)
+        assert image.x_order == order - 3 - i and image.is_zero()
+    assert last.order == 3 and last.coeff(3) == real.one
+    (_, _, s1), (_, _, s2), _ = steps
+    f = MatrixJet.scalar(exp_jet(F(1, 2), order) + Jet([0, 0, 0, F(-2, 3)], order))
+    composite = ls_apply(ls_apply(f, s1), s2)
+    assert composite.x_order == order - 2
+    kernel = [1 + x**2, x]
+    crum = sympy.wronskian(kernel + [sympy.exp(x / 2) - sympy.Rational(2, 3) * x**3], x)
+    expected = sympy.series(crum / sympy.wronskian(kernel, x), x, 0, order - 1).removeO()
+    for k in range(order - 1):
+        c = expected.coeff(x, k)
+        assert composite.entry(0, 0).at(k) == F(int(c.p), int(c.q)), k
 
 
 # -- closed coefficient formula ---------------------------------------------------------------

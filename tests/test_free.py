@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellops import FreeElement, FreeRing, Letter, RealizationMismatchError
+from bellops import FreeElement, FreeRing, Letter, RealizationMismatchError, TermBudgetError
+from bellops.free import MAX_TERMS
 
 RING = FreeRing(("s", "u"))
 
@@ -74,6 +75,18 @@ def test_d0_star_commutes(ring, s):
 def test_characteristic_zero(ring):
     for n in range(1, 7):
         assert not (ring.one * n).is_zero()
+
+
+def test_term_budget_is_checked_before_multiplying(ring, s):
+    assert MAX_TERMS == 2**14
+    # distinct words s^k D(s)^j, so a product has as many term pairs as it has terms
+    a = FreeElement(ring, {(Letter("s"),) * k: Fraction(1) for k in range(1, 129)})
+    b = FreeElement(ring, {(Letter("s", d=1),) * k: Fraction(1) for k in range(1, 129)})
+    assert len((a * b).terms()) == MAX_TERMS
+    with pytest.raises(TermBudgetError, match="16512 term pairs exceeds the budget of 16384"):
+        (a + s.d().d()) * b
+    with pytest.raises(TermBudgetError):
+        b * (a + s.d().d())
 
 
 def test_realization_mismatch(ring):

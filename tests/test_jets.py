@@ -280,6 +280,23 @@ def test_bijet_truncate_and_at_boundaries():
         exact.truncate(0, 0).dt()
 
 
+def test_constructors_store_one_normal_form():
+    # an exact jet keeps no trailing zeros, but always its constant term
+    assert Jet([]).nums == Jet([0, 0]).nums == (0,)
+    assert (Jet([]).den, Jet([0, 0]).order) == (1, None)
+    # a finite-order jet is cut, or padded with zeros, to order + 1 numerators,
+    # and reduced after the cut
+    assert (Jet([1, F(1, 3), 5], 0).nums, Jet([1, F(1, 3), 5], 0).den) == ((1,), 1)
+    assert (Jet([F(2, 3)], 3).nums, Jet([F(2, 3)], 3).den) == ((2, 0, 0, 0), 3)
+    # an exact t-axis drops trailing zero t-levels, keeping the first
+    exact = BiJet([[1, 0, 0], [2, 0, 0]], 1, None)
+    assert [lv.nums for lv in exact.levels] == [(1, 2)]
+    assert [lv.nums for lv in BiJet([[0, 0]], None, None).levels] == [(0,)]
+    # a finite t-order is cut, or padded with zero levels of the shared x-order
+    assert [lv.nums for lv in BiJet([[1], [2]], 1, 2).levels] == [(1, 2), (0, 0), (0, 0)]
+    assert [lv.nums for lv in BiJet([[1, 2, 3]], 0, 1).levels] == [(1,), (2,)]
+
+
 # -- matrix jets ---------------------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from bellops import (
     Jet,
     OperatorFileError,
     UndeclaredGeneratorError,
+    UnsupportedRealizationError,
     d_power_operator,
 )
 from bellops.parsing import (
@@ -225,6 +226,11 @@ def test_entry_file_basic():
     assert m.entry(0, 1) == Jet((0, 1), 8)
     assert m.entry(1, 0) == Jet((0,), 8)
     assert m.entry(1, 1) == Jet((2,), 8)
+
+
+def test_entry_file_has_no_time_derivative():
+    with pytest.raises(UnsupportedRealizationError):
+        parse_entry_text("entry[0][0] = D0(x)\n", 1, 4)
 
 
 def test_entry_file_errors():
