@@ -1,14 +1,14 @@
 """Darboux transforms, intertwining checks and the generalized Burgers flow.
 
-The transform of L = sum a_n D^n by the factor element s is
+The transform by the factor element s swaps the factors of the right
+division L = M o L_s + r:
 
-    Ltilde = a_0 + sum_{n>=1} ( (Da_n) H_{n-1} + a_n H_n - s a_n H_{n-1} ),
+    Ltilde = L_s o M + r,
 
 which keeps the order and the leading coefficient and satisfies the t-free
-intertwining identity  L_s o L - Ltilde o L_s = Dr + [r, s]  with r the
-right-division remainder.  That same order-0 value is the right-hand side of
-the generalized Burgers equation for s, also computable term by term as
-sum_n ( (Da_n - s a_n) B_n + a_n B_{n+1} ).
+intertwining identity  L_s o L - Ltilde o L_s = Dr + [r, s].  That same order-0
+value is the right-hand side of the generalized Burgers equation for s, also
+computable term by term as sum_n ( (Da_n - s a_n) B_n + a_n B_{n+1} ).
 
 For two-variable checks, :func:`time_propagate` integrates d_t phi = L phi as
 a formal Taylor series in t (each t-level costs order(L) x-orders), and
@@ -46,7 +46,7 @@ class DarbouxOutcome:
 
 @dataclass
 class CoefficientAudit:
-    """Comparison of the closed coefficient formula against the H-expansion."""
+    """Comparison of the closed coefficient formula against L_s o M + r."""
 
     formula: DiffOperator
     oracle: DiffOperator
@@ -80,34 +80,35 @@ def darboux_transform(L: DiffOperator, s, table: BellTable = None) -> DarbouxOut
     if L.order < 1:
         raise IndexRangeError("the transform needs an operator of order >= 1")
     table = table or BellTable(s)
-    acc = DiffOperator([L.coeff(0)], L.realization)
-    for n in range(1, L.order + 1):
-        a_n = L.coeff(n)
-        acc = acc + table.h(n - 1).scale(a_n.d() - s * a_n) + table.h(n).scale(a_n)
-    remainder = divide_right(L, s, table).remainder
-    defect = intertwine_defect(L, acc, s)
+    division = divide_right(L, s, table)
+    remainder = division.remainder
+    lsm = make_ls(s).compose(division.quotient).coeffs
+    transformed = DiffOperator((lsm[0] + remainder,) + lsm[1:], L.realization)
+    defect = intertwine_defect(L, transformed, s)
     expected = remainder.d() + (remainder * s - s * remainder)
     if not (defect == expected):
         raise ConsistencyError("intertwine defect does not equal Dr + [r, s]")
     rhs = burgers_rhs(L, s, table)
     if not (rhs == expected):
         raise ConsistencyError("Burgers right-hand side does not equal Dr + [r, s]")
-    return DarbouxOutcome(acc, remainder, defect, rhs)
+    return DarbouxOutcome(transformed, remainder, defect, rhs)
 
 
 def intertwine_defect(L: DiffOperator, Ltilde: DiffOperator, s):
     """Order-0 coefficient of L_s o L - Ltilde o L_s.
 
     Raises if the difference has positive order, which signals a wrong
-    transformed operator.
+    transformed operator.  The value is read from the coefficient list, since
+    the operator drops trailing coefficients that are zero only to a finite order.
     """
     ls = make_ls(s)
-    diff = ls.compose(L) - Ltilde.compose(ls)
-    if diff.order > 0:
-        raise DefectNotScalarError(
-            f"intertwining discrepancy has order {diff.order}, expected <= 0"
-        )
-    return diff.coeff(0)
+    left, right = ls.compose(L), Ltilde.compose(ls)
+    n = max(len(left.coeffs), len(right.coeffs))
+    diff = [left.coeff(k) - right.coeff(k) for k in range(n)]
+    order = DiffOperator(diff, L.realization).order
+    if order > 0:
+        raise DefectNotScalarError(f"intertwining discrepancy has order {order}, expected <= 0")
+    return diff[0]
 
 
 def burgers_rhs(L: DiffOperator, s, table: BellTable = None):
@@ -116,9 +117,9 @@ def burgers_rhs(L: DiffOperator, s, table: BellTable = None):
     acc = None
     for n in range(L.order + 1):
         a_n = L.coeff(n)
-        term = (a_n.d() - s * a_n) * table.left(n) + a_n * table.left(n + 1)
+        term = ls_apply(a_n, s) * table.left(n) + a_n * table.left(n + 1)
         acc = term if acc is None else acc + term
-    return acc
+    return L.realization.zero if acc is None else acc
 
 
 # wavefunction transform psi -> D psi - s psi
@@ -145,20 +146,20 @@ def transformed_coefficients(L: DiffOperator, s, table: BellTable = None) -> Dif
             return zero
         return table.gen(m, j)
 
+    ls_a = [ls_apply(L.coeff(n), s) for n in range(n_top + 1)]
     coeffs = []
     for k in range(n_top):
         acc = zero
         for n in range(k, n_top + 1):
-            a_n = L.coeff(n)
-            acc = acc + a_n * gen_or_zero(n, n - k)
-            acc = acc + (a_n.d() - s * a_n) * gen_or_zero(n - 1, n - 1 - k)
+            acc = acc + L.coeff(n) * gen_or_zero(n, n - k)
+            acc = acc + ls_a[n] * gen_or_zero(n - 1, n - 1 - k)
         coeffs.append(acc)
     coeffs.append(L.coeff(n_top))
     return DiffOperator(coeffs, L.realization)
 
 
 def audit_transformed_coefficients(L: DiffOperator, s) -> CoefficientAudit:
-    """Validate the closed coefficient formula against the H-expansion."""
+    """Validate the closed coefficient formula against L_s o M + r."""
     table = BellTable(s)
     formula = transformed_coefficients(L, s, table)
     oracle = darboux_transform(L, s, table).transformed

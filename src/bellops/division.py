@@ -4,8 +4,8 @@ Right division L = M L_s + r has the closed solution
 
     r = sum_n a_n B_n(s),        M = sum_{n>=1} a_n H_{n-1},
 
-so the remainder depends on the Bell table alone.  Left division
-L = L_s M^+ + r^+ is solved by the backward recursion
+so both depend on the Bell table alone (M_k = sum_{n>k} a_n B_{n-1,n-1-k}).
+Left division L = L_s M^+ + r^+ is solved by the backward recursion
 
     b_{N-1} = a_N,   b_n = a_{n+1} - L_s(b_{n+1}),   r^+ = a_0 - L_s(b_0),
 
@@ -46,9 +46,13 @@ def divide_right(L: DiffOperator, s, table: BellTable = None) -> DivisionOutcome
     table = table or BellTable(s)
     n_top = L.order
     remainder = _right_remainder(L, table)
-    quotient = table.h(0).scale(L.coeff(1))
-    for n in range(2, n_top + 1):
-        quotient = quotient + table.h(n - 1).scale(L.coeff(n))
+    coeffs = []
+    for k in range(n_top):
+        acc = L.coeff(k + 1) * table.gen(k, 0)
+        for n in range(k + 2, n_top + 1):
+            acc = acc + L.coeff(n) * table.gen(n - 1, n - 1 - k)
+        coeffs.append(acc)
+    quotient = DiffOperator(coeffs, L.realization)
     return DivisionOutcome(quotient, remainder, "right", remainder.is_zero())
 
 
@@ -60,7 +64,7 @@ def _right_remainder(L: DiffOperator, table: BellTable):
     return acc
 
 
-def divide_left(L: DiffOperator, s, table: BellTable = None) -> DivisionOutcome:
+def divide_left(L: DiffOperator, s) -> DivisionOutcome:
     """Split L as (L_s o quotient) + remainder."""
     _require_divisible(L)
     n_top = L.order

@@ -86,8 +86,6 @@ class DiffOperator:
             for _ in range(max_k):
                 row.append(row[-1].d())
         for k, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
             for m, _ in enumerate(other.coeffs):
                 for i in range(k + 1):
                     term = a * derivs[m][k - i]
@@ -107,16 +105,12 @@ class DiffOperator:
             raise RealizationMismatchError("element lives over a different realization")
         if self.is_zero():
             return phi.zero_like()
-        acc = None
+        acc = self.coeffs[0] * phi
         deriv = phi
-        for k, a in enumerate(self.coeffs):
-            if k > 0:
-                deriv = deriv.d()
-            if a.is_zero():
-                continue
-            term = a * deriv
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else phi.zero_like()
+        for a in self.coeffs[1:]:
+            deriv = deriv.d()
+            acc = acc + a * deriv
+        return acc
 
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):

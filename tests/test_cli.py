@@ -131,6 +131,16 @@ def test_burgers_command(tmp_path):
     assert (code, out) == (0, "burgers: 2*D(s)*s + D^2(s)\n")
 
 
+def test_burgers_of_the_zero_operator_is_zero(tmp_path):
+    files = {"zero.op": "a[0] = 0\n"}
+    assert run(["burgers", "zero.op"], files, tmp_path) == (0, "burgers: 0\n", "")
+    code, out, _ = run(["--output", "json", "burgers", "zero.op"], files, tmp_path)
+    assert (code, json.loads(out)) == (0, {"burgers": {"terms": []}})
+    code, out, _ = run(["--ring", "jet", "--x-order", "3", "burgers", "zero.op", "--s", "x"],
+                       files, tmp_path)
+    assert (code, out) == (0, "burgers:\n  order: x=exact\n  zero\n")
+
+
 def test_exit_code_missing_file(tmp_path):
     code, out, err = run(["divide", "--side", "right", str(tmp_path / "nope.op"), "--s", "s"])
     assert code == 1

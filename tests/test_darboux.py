@@ -202,6 +202,19 @@ def test_two_step_chain_matches_crum_wronskian_formula():
         assert composite.entry(0, 0).at(k) == F(int(c.p), int(c.q)), k
 
 
+def test_order_four_chain_annihilates_its_kernel():
+    # the build of an order-4 transform reads B_{3,j}, the first Bell row with
+    # a D B_{m-1,j-1} term that is not zero
+    order = 14
+    real = MatrixRealization(1)
+    kernel = [MatrixJet.scalar(Jet(c, order)) for c in ([1, 0, 1], [0, 1], [2, 0, 0, 1])]
+    steps, last = darboux_chain(d_power_operator(real, 4), kernel)
+    for i, (op, mapped, _) in enumerate(steps):
+        image = op.apply(mapped)
+        assert image.x_order == order - 4 - i and image.is_zero()
+    assert last.order == 4 and last.coeff(4) == real.one
+
+
 # -- closed coefficient formula ---------------------------------------------------------------
 
 
