@@ -19,7 +19,7 @@ from .bell import BellTable
 from .darboux import burgers_rhs, darboux_transform, matveev_verify, time_propagate
 from .division import divide_left, divide_right, riccati_residual
 from .errors import KernelError
-from .free import FreeElement, FreeRing
+from .free import FreeElement, FreeRing, fraction_text
 from .jets import MatrixJet, MatrixRealization, x_jet
 from .operators import DiffOperator
 from .parsing import MAX_POWER, parse_element, parse_entry_text, parse_operator_text
@@ -126,7 +126,7 @@ def matrix_lines(m: MatrixJet):
 
 
 def _mat_text(mat):
-    return "[" + ", ".join("[" + ", ".join(str(v) for v in row) + "]" for row in mat) + "]"
+    return "[" + ", ".join("[" + ", ".join(map(fraction_text, row)) + "]" for row in mat) + "]"
 
 
 def text_lines(label, value):
@@ -152,7 +152,7 @@ def element_json(value):
         return {
             "terms": [
                 {
-                    "coeff": str(coeff),
+                    "coeff": fraction_text(coeff),
                     "word": [
                         {"gen": l.gen, "star": l.star, "d0": l.d0, "d": l.d} for l in word
                     ],
@@ -169,7 +169,7 @@ def element_json(value):
     if value.kind == "jet":
         out["entries"] = [
             [
-                {"order": e.order, "coeffs": [str(c) for c in e.coeffs]}
+                {"order": e.order, "coeffs": [fraction_text(c) for c in e.coeffs]}
                 for e in row
             ]
             for row in value.entries
@@ -180,7 +180,7 @@ def element_json(value):
                 {
                     "x_order": e.x_order,
                     "t_order": e.t_order,
-                    "coeffs": [[str(c) for c in r] for r in e.coeffs],
+                    "coeffs": [[fraction_text(c) for c in r] for r in e.coeffs],
                 }
                 for e in row
             ]

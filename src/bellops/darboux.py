@@ -112,14 +112,17 @@ def intertwine_defect(L: DiffOperator, Ltilde: DiffOperator, s):
 
 
 def burgers_rhs(L: DiffOperator, s, table: BellTable = None):
-    """Right-hand side of the generalized Burgers equation for s under L."""
+    """Right-hand side of the generalized Burgers equation for s under L.
+
+    The zero operator gives the zero of s's kind and orders, as its terms would.
+    """
     table = table or BellTable(s)
     acc = None
     for n in range(L.order + 1):
         a_n = L.coeff(n)
         term = ls_apply(a_n, s) * table.left(n) + a_n * table.left(n + 1)
         acc = term if acc is None else acc + term
-    return L.realization.zero if acc is None else acc
+    return s * 0 if acc is None else acc
 
 
 # wavefunction transform psi -> D psi - s psi

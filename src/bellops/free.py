@@ -238,9 +238,29 @@ def letter_text(letter: Letter) -> str:
     return core
 
 
+def _int_text(n: int) -> str:
+    """Decimal digits of ``n``.  ``str()`` refuses integers over the
+    interpreter's digit limit (never below 640 digits), so a longer one is split
+    at a power of ten into halves that are printed the same way."""
+    if n < 0:
+        return "-" + _int_text(-n)
+    if n.bit_length() <= 2000:  # at most 603 digits
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(n, 10**k)
+    return _int_text(high) + _int_text(low).rjust(k, "0")
+
+
+def fraction_text(q: Fraction) -> str:
+    """``str(q)``, for a Fraction of any size."""
+    if q.denominator == 1:
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
+
+
 def _term_text(word: Word, coeff: Fraction) -> str:
     if not word:
-        return "e" if coeff == 1 else f"{coeff}"
+        return "e" if coeff == 1 else fraction_text(coeff)
     factors = []
     i = 0
     while i < len(word):
@@ -251,4 +271,4 @@ def _term_text(word: Word, coeff: Fraction) -> str:
         factors.append(base if j - i == 1 else f"{base}^{j - i}")
         i = j
     body = "*".join(factors)
-    return body if coeff == 1 else f"{coeff}*{body}"
+    return body if coeff == 1 else f"{fraction_text(coeff)}*{body}"

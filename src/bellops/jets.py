@@ -11,7 +11,10 @@ costs one order; both rules are enforced, never silently bent.  An operation is
 a comprehension over the grids and one ``gcd`` pass over its result; a product
 is one integer matrix product (:func:`_product` over :mod:`bellops.intpoly`);
 inversion is Newton iteration in x from a fraction-free inverse of the constant
-term, then a recurrence over the higher t-levels.
+term, then a recurrence over the higher t-levels.  :func:`log_derivative`
+divides phi' by phi the Karp-Markstein way: it inverts phi only to half the
+x-order, forms the quotient there and corrects it once by its residual, so no
+full-order inverse is built.
 
 :class:`Jet` (x only) and :class:`BiJet` (t-levels that are x-jets of one
 x-order) are the entry values at the API boundary.  Each is a view of a 1 x 1
@@ -30,6 +33,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    ConsistencyError,
     PrecisionExhaustedError,
     RealizationMismatchError,
     SingularConstantTermError,
@@ -336,6 +340,16 @@ def _product(a: "MatrixJet", b: "MatrixJet") -> "MatrixJet":
     return MatrixJet._of(kind, nums, a.den * b.den, xo, to)
 
 
+def _claimed(m: "MatrixJet", xo: Optional[int]) -> "MatrixJet":
+    """``m`` claimed to x-order ``xo`` >= its own by zero padding (``m`` itself at
+    its own order).  This extends the order ledger, so each caller states why
+    the padded coefficients cannot change the part of its result that it keeps."""
+    if xo == m.x_order:
+        return m
+    nums = [[[_fit(lv, xo + 1) for lv in e] for e in row] for row in m.nums]
+    return MatrixJet._new(m.kind, nums, m.den, xo, m.t_order)
+
+
 def _mat_inv(a):
     """``(adj, d)`` with ``d > 0`` and ``adj / d`` the inverse of the square integer
     matrix ``a``, by Bareiss's fraction-free Gauss-Jordan elimination on ``[a | I]``
@@ -598,15 +612,16 @@ class MatrixJet:
                 "inverting a non-constant exact series needs a finite truncation order")
         adj, det = _mat_inv([[e[0][0] for e in row] for row in a0.nums])
         nums = [[[[a0.den * v]] for v in row] for row in adj]
-        x, k = MatrixJet._of("jet", nums, det, None, None).truncate(xo), 0
+        x = MatrixJet._of("jet", nums, det, None, None)
+        x, k = x.truncate(None if xo is None else 0), 0
         two = MatrixJet.identity(self.dim) * 2
         while xo is not None and k < xo:
             k2 = min(2 * k + 1, xo)
             # X ≡ A⁻¹ mod x^{k+1} implies X(2I − AX) ≡ A⁻¹ mod x^{2k+2}, so the
-            # iterate, valid to order k, is lifted to order k2 <= 2k + 1 here:
-            # the one place the order ledger is extended.
-            lifted = [[[_fit(e[0], k2 + 1)] for e in row] for row in x.nums]
-            x = MatrixJet._new("jet", lifted, x.den, k2, None)
+            # iterate, valid to order k, is claimed to order k2 <= 2k + 1 here:
+            # one of the two places the order ledger is extended (the other is
+            # the correction step of log_derivative).
+            x = _claimed(x, k2)
             x = x * (two - a0.truncate(k2) * x)
             k = k2
         if self.t_order is None and len(levels) > 1:
@@ -652,13 +667,37 @@ class MatrixJet:
 
 def log_derivative(phi: MatrixJet, side: str) -> MatrixJet:
     """phi' phi^{-1} for ``side='right'`` (then D phi = s phi), or
-    -phi^{-1} phi' for ``side='left'`` (then D phi = -phi s)."""
+    -phi^{-1} phi' for ``side='left'`` (then D phi = -phi s).
+
+    One Karp-Markstein division of g = phi' (right) or -phi' (left) by phi:
+    with n the x-order of phi' and h = n // 2, phi is inverted only to x-order
+    h (X_h), the quotient is formed to order h (s_h = g_h X_h on the right,
+    X_h g_h on the left) and corrected once by its residual:
+    s = s_h + (g - s_h phi) X_h  on the right,  s = s_h + X_h (g - phi s_h)
+    on the left.  The result has the x-order of phi' and the t-order and kind
+    of phi.
+    """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    inv = phi.invert()
-    if side == "right":
-        return phi.d() * inv
-    return -(inv * phi.d())
+    xo, to = phi.x_order, phi.t_order
+    h = None if xo is None else max(xo - 1, 0) // 2
+    x_h = phi.truncate(h, to).invert()  # invert's errors come before d()'s
+    g = phi.d() if side == "right" else -phi.d()
+    n = g.x_order
+    mul = operator.mul if side == "right" else lambda a, b: b * a
+    # s_h and X_h are right only to order h.  The residual r = g - s_h phi is
+    # (s - s_h) phi on the right (phi (s - s_h) on the left), so r ≡ 0 mod
+    # x^{h+1}, and the corrected quotient misses s by (s - s_h)(I - phi X_h)
+    # (or (I - X_h phi)(s - s_h)), which is ≡ 0 mod x^{2h+2} with 2h + 1 >= n.
+    # So both are claimed to order n here: the second place the order ledger is
+    # extended, after invert's Newton lift.  The claim is checked on r before
+    # X_h is claimed.
+    s_h = _claimed(mul(g.truncate(h, to), x_h), n)
+    r = g - mul(s_h, phi)
+    cut = None if h is None else h + 1
+    if any(any(lv[:cut]) for row in r.nums for e in row for lv in e):
+        raise ConsistencyError("log-derivative residual is not zero to the half order")
+    return s_h + mul(r, _claimed(x_h, n))
 
 
 def x_jet(order: Optional[int] = None) -> Jet:

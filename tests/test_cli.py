@@ -5,12 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 import bellops
 from bellops.cli import run_command
+from bellops.free import fraction_text
 
 
 def run(argv, files=None, tmp_path=None):
@@ -136,9 +139,63 @@ def test_burgers_of_the_zero_operator_is_zero(tmp_path):
     assert run(["burgers", "zero.op"], files, tmp_path) == (0, "burgers: 0\n", "")
     code, out, _ = run(["--output", "json", "burgers", "zero.op"], files, tmp_path)
     assert (code, json.loads(out)) == (0, {"burgers": {"terms": []}})
+    # in jet sessions the zero has the kind and orders of s
     code, out, _ = run(["--ring", "jet", "--x-order", "3", "burgers", "zero.op", "--s", "x"],
                        files, tmp_path)
-    assert (code, out) == (0, "burgers:\n  order: x=exact\n  zero\n")
+    assert (code, out) == (0, "burgers:\n  order: x=3\n  zero\n")
+    bijet = ["--ring", "bijet", "--x-order", "3", "--t-order", "2"]
+    code, out, _ = run(bijet + ["burgers", "zero.op", "--s", "x"], files, tmp_path)
+    assert (code, out) == (0, "burgers:\n  order: x=3 t=exact\n  zero\n")
+    code, out, _ = run(["--output", "json"] + bijet + ["burgers", "zero.op", "--s", "x"],
+                       files, tmp_path)
+    value = json.loads(out)["burgers"]
+    assert (code, value["kind"], value["x_order"], value["t_order"]) == (0, "bijet", 3, None)
+
+
+def _digits_value(text):
+    """The value of a printed integer or fraction, converted in pieces short
+    enough for ``int()`` at any digit limit."""
+    num, _, den = text.partition("/")
+
+    def whole(digits):
+        sign, digits = (-1, digits[1:]) if digits.startswith("-") else (1, digits)
+        value = 0
+        for i in range(0, len(digits), 500):
+            piece = digits[i:i + 500]
+            value = value * 10 ** len(piece) + int(piece)
+        return sign * value
+
+    return Fraction(whole(num), whole(den or "1"))
+
+
+def test_integers_of_any_size_print_and_round_trip(tmp_path):
+    nines = 10**900 - 1
+    files = {"big.op": f"a[0] = {nines}*e\n", "one.ic": "entry[0][0] = 1\n"}
+    argv = ["--ring", "jet", "--x-order", "0", "propagate", "big.op", "--phi0", "one.ic",
+            "--t-order", "6"]
+    # level m of the propagated series is nines^m / m!, up to 5403 digits
+    expected = [Fraction(nines**m, factorial(m)) for m in range(7)]
+    code, out, err = run(argv, files, tmp_path)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:2] == ["order: x=0 t=6", "x^0 t^0: [[1]]"]
+    printed = [line.split(": [[", 1)[1][:-2] for line in lines[1:]]
+    assert [_digits_value(v) for v in printed] == expected
+    code, out, err = run(["--output", "json"] + argv, files, tmp_path)
+    assert (code, err) == (0, "")
+    coeffs = json.loads(out)["entries"][0][0]["coeffs"][0]
+    assert [_digits_value(v) for v in coeffs] == expected
+    # zero runs at the split points, signs and denominators
+    for n in (10**5000, 10**5000 + 7, -(10**4400) - 1, 2**20000 - 1):
+        for q in (Fraction(n), Fraction(n, 3), Fraction(3, n)):
+            assert _digits_value(fraction_text(q)) == q
+    assert fraction_text(Fraction(-10**600, 7)) == str(Fraction(-10**600, 7))
+    # free-ring text and JSON go through the same printer
+    files = {"big.op": f"a[0] = ({nines})^5*s\n"}
+    code, out, _ = run(["burgers", "big.op", "--s", "0"], files, tmp_path)
+    assert code == 0 and _digits_value(out[len("burgers: "):].split("*")[0]) == nines**5
+    code, out, _ = run(["--output", "json", "burgers", "big.op", "--s", "0"], files, tmp_path)
+    assert code == 0 and _digits_value(json.loads(out)["burgers"]["terms"][0]["coeff"]) == nines**5
 
 
 def test_exit_code_missing_file(tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from bellops import (
     BiJet,
+    ConsistencyError,
     Jet,
     MatrixJet,
     PrecisionExhaustedError,
@@ -493,6 +494,71 @@ def test_log_derivative_sides():
 
 def test_log_derivative_of_constant_is_zero():
     assert log_derivative(MatrixJet.identity(2), "right").is_zero()
+
+
+def _full_order_log_derivative(phi, side):
+    """The full-order formulas, an independent route to the same values."""
+    if side == "right":
+        return phi.d() * phi.invert()
+    return -(phi.invert() * phi.d())
+
+
+def _dense_phi(rng, dim, x_order, t_order):
+    """A dense random matrix with an invertible constant term: a jet matrix when
+    ``t_order`` is None, else a bi-jet matrix of that finite t-order."""
+    def entry():
+        if t_order is None:
+            return Jet([rng.randint(-3, 3) for _ in range(x_order + 1)], x_order)
+        return BiJet([[rng.randint(-3, 3) for _ in range(t_order + 1)]
+                      for _ in range(x_order + 1)], x_order, t_order)
+
+    while True:
+        phi = MatrixJet([[entry() for _ in range(dim)] for _ in range(dim)])
+        try:
+            phi.truncate(0, t_order).invert()
+            return phi
+        except SingularConstantTermError:
+            pass
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_log_derivative_matches_the_full_order_formula(dim):
+    # generic inputs, so the correction's residual is nonzero
+    rng = random.Random(dim)
+    for x_order in [*range(14), 60, 161]:
+        for t_order in (None, {60: 1, 161: 0}.get(x_order, x_order % 3)):
+            phi = _dense_phi(rng, dim, x_order, t_order)
+            for side in ("right", "left"):
+                if x_order == 0:
+                    with pytest.raises(PrecisionExhaustedError):
+                        log_derivative(phi, side)
+                    continue
+                got, want = log_derivative(phi, side), _full_order_log_derivative(phi, side)
+                assert (got.kind, got.x_order, got.t_order) == (
+                    want.kind, want.x_order, want.t_order)
+                assert got == want
+    singular = MatrixJet.diagonal(Jet([0], 0), dim)
+    exact = MatrixJet.identity(dim) + MatrixJet.diagonal(x_jet(), dim)
+    for side in ("right", "left"):
+        with pytest.raises(SingularConstantTermError):
+            log_derivative(singular, side)
+        with pytest.raises(SingularConstantTermError):
+            log_derivative(singular.promote().truncate(0, 2), side)
+        with pytest.raises(PrecisionExhaustedError):
+            log_derivative(exact, side)
+
+
+def test_log_derivative_checks_its_half_order_claim(monkeypatch):
+    # x-order 9, so phi' has order 8 and phi is inverted to order h = 4
+    phi = MatrixJet.constant([[1, 2], [0, 1]]) + MatrixJet.diagonal(exp_jet(F(1, 2), 9), 2)
+    assert log_derivative(phi, "right") == _full_order_log_derivative(phi, "right")
+    invert = MatrixJet.invert
+    bump = MatrixJet.diagonal(Jet([0, 0, 0, 0, 1], 4), 2)
+    monkeypatch.setattr(MatrixJet, "invert", lambda self: invert(self) + bump)
+    for side in ("right", "left"):
+        with pytest.raises(ConsistencyError, match="^log-derivative residual is not zero to "
+                                                   "the half order$"):
+            log_derivative(phi, side)
 
 
 def test_dimension_mismatch():

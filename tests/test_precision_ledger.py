@@ -2,6 +2,7 @@
 finite order keeps that order through operators, divisions and transforms."""
 
 from fractions import Fraction as F
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from bellops import (
     Jet,
     MatrixJet,
     PrecisionExhaustedError,
+    SingularConstantTermError,
     darboux_transform,
     divide_left,
     divide_right,
@@ -211,3 +213,43 @@ def test_apply_is_prefix_stable(data):
     ops = data.draw(_operator_pair(dim, kind, 0))
     phi = data.draw(_matrix_pair(dim, kind))
     assert_stable_under(lambda L, p: (L.apply(p),), (ops[0], phi[0]), (ops[1], phi[1]))
+
+
+def assert_inverse_stable(fn, original, perturbed):
+    """``assert_stable_under`` for a function that inverts its one argument.  A
+    singular constant term claims nothing, and neither does a perturbed copy
+    with an exact axis that ``invert`` refuses: an exact series has no inverse
+    when it depends on that axis beyond the constant term."""
+    try:
+        expected = fn(original)
+    except (PrecisionExhaustedError, SingularConstantTermError):
+        return  # nothing is claimed
+    try:
+        got = fn(perturbed)
+    except PrecisionExhaustedError:
+        assert perturbed.x_order is None or (
+            perturbed.kind == "bijet" and perturbed.t_order is None)
+        return
+    assert_prefix_stable(expected, got)
+
+
+def _invertible_pair(data):
+    """A matrix pair shifted by an exact multiple of the identity, so that most
+    constant terms are invertible."""
+    dim, kind = _shape(data.draw)
+    shift = MatrixJet.identity(dim) * data.draw(st.sampled_from([1, -2, 3]))
+    return [m + shift for m in data.draw(_matrix_pair(dim, kind))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_invert_is_prefix_stable(data):
+    assert_inverse_stable(MatrixJet.invert, *_invertible_pair(data))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_log_derivative_is_prefix_stable(data):
+    original, perturbed = _invertible_pair(data)
+    for side in ("right", "left"):
+        assert_inverse_stable(partial(log_derivative, side=side), original, perturbed)
