@@ -6,8 +6,9 @@ All entries are produced by the defining recurrences:
     B_0^+ = e,        B_n^+ = -D B_{n-1}^+ + s B_{n-1}^+
     B_{n,0} = e,      B_{n,k} = B_{n-1,k} + D B_{n-1,k-1}   (1 <= k <= n-1)
                       B_{n,n} = D B_{n-1,n-1} + B_n
+    H_0 = e,          H_n = D o H_{n-1} + B_n   (the B_{n,k} rows, as one push of D)
 
-and the quotient operators H_n = sum_k B_{n,n-k} D^k and
+for the quotient operators H_n = sum_k B_{n,n-k} D^k and
 H_n^+ = sum_k B_{n-k}^+ D^k.  Closed alternative formulas live in the test
 suite as independent oracles.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import threading
 
 from .errors import IndexRangeError
-from .operators import DiffOperator
+from .operators import DiffOperator, _push_d
 
 
 class BellTable:
@@ -32,8 +33,7 @@ class BellTable:
         self._one = s.one_like()
         self._left = [self._one]
         self._right = [self._one]
-        self._gen = {(0, 0): self._one}
-        self._gen_rows = 0
+        self._rows = [[self._one]]  # _rows[n][k] = B_{n,n-k}, the coefficients of H_n
         self._lock = threading.RLock()
 
     def left(self, n: int):
@@ -56,26 +56,26 @@ class BellTable:
                 self._right.append(-(prev.d()) + self.s * prev)
         return self._right[n]
 
+    def _row(self, n: int) -> list:
+        """Coefficients of H_n, filled by H_m = D o H_{m-1} + B_m."""
+        with self._lock:
+            while len(self._rows) <= n:
+                row = _push_d(self._rows[-1])
+                row[0] = row[0] + self.left(len(self._rows))
+                self._rows.append(row)
+        return self._rows[n]
+
     def gen(self, n: int, k: int):
         """B_{n,k}(s); defined for 0 <= k <= n only."""
         if n < 0 or k < 0 or k > n:
             raise IndexRangeError(f"B_(n,k) needs 0 <= k <= n, got n={n}, k={k}")
-        with self._lock:
-            while self._gen_rows < n:
-                m = self._gen_rows + 1
-                self._gen[(m, 0)] = self._one
-                for j in range(1, m):
-                    self._gen[(m, j)] = self._gen[(m - 1, j)] + self._gen[(m - 1, j - 1)].d()
-                self._gen[(m, m)] = self._gen[(m - 1, m - 1)].d() + self.left(m)
-                self._gen_rows = m
-        return self._gen[(n, k)]
+        return self._row(n)[n - k]
 
     def h(self, n: int) -> DiffOperator:
         """Quotient operator H_n; order n, leading coefficient e."""
         if n < 0:
             raise IndexRangeError("operator index must be >= 0")
-        coeffs = [self.gen(n, n - k) for k in range(n + 1)]
-        return DiffOperator(coeffs, self.s.realization)
+        return DiffOperator(self._row(n), self.s.realization)
 
     def h_plus(self, n: int) -> DiffOperator:
         """Quotient operator H_n^+; order n, leading coefficient e."""

@@ -1,15 +1,14 @@
 """Linear differential operators over a ring realization.
 
 An operator is a finite coefficient list a_0..a_N acting as sum(a_n D^n);
-coefficients always multiply powers of D from the left.  Composition pushes
-powers of D through coefficients with the Leibniz expansion
-D^k b = sum_i C(k, i) (D^(k-i) b) D^i.
+coefficients always multiply powers of D from the left.  Composition and the
+Bell rows push D through an operator one power at a time (:func:`_push_d`),
+which sums to the Leibniz expansion D^k b = sum_i C(k, i) (D^(k-i) b) D^i.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .errors import RealizationMismatchError
 from .free import FreeElement
@@ -74,30 +73,18 @@ class DiffOperator:
         return DiffOperator((c * a for a in self.coeffs), self.realization)
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
-        """Operator product self o other via the Leibniz push-through."""
+        """Operator product self o other = sum_k a_k T_k, with T_0 = other and
+        T_k = D o T_(k-1), which sums to the Leibniz closed form
+        T_k = sum_m sum_i C(k, i) (D^(k-i) b_m) D^(i+m)."""
         self._check(other)
         if self.is_zero() or other.is_zero():
             return DiffOperator([], self.realization)
-        out = {}
-        # cache successive derivatives of other's coefficients
-        derivs = [[b] for b in other.coeffs]
-        max_k = self.order
-        for row in derivs:
-            for _ in range(max_k):
-                row.append(row[-1].d())
-        for k, a in enumerate(self.coeffs):
-            for m, _ in enumerate(other.coeffs):
-                for i in range(k + 1):
-                    term = a * derivs[m][k - i]
-                    power = i + m
-                    c = comb(k, i)
-                    if c != 1:
-                        term = term * Fraction(c)
-                    prev = out.get(power)
-                    out[power] = term if prev is None else prev + term
-        n = max(out) + 1
-        zero = self.realization.zero
-        return DiffOperator((out.get(k, zero) for k in range(n)), self.realization)
+        t = list(other.coeffs)
+        out = [self.coeffs[0] * c for c in t]
+        for a in self.coeffs[1:]:
+            t = _push_d(t)
+            out = [acc + a * c for acc, c in zip(out, t)] + [a * t[-1]]
+        return DiffOperator(out, self.realization)
 
     def apply(self, phi):
         """Apply the operator to a ring element: sum a_n D^n(phi)."""
@@ -165,6 +152,12 @@ def _coeff_power_text(c, k):
             return False, f"({c.to_text()})*{d_part}"
         return neg, f"{body}*{d_part}"
     return False, f"({c})*{d_part}"
+
+
+def _push_d(coeffs: list) -> list:
+    """Coefficients of D o sum_m c_m D^m = sum_m (Dc_m + c_(m-1)) D^m, where the
+    top c_M is carried, underived, to D^(M+1)."""
+    return [coeffs[0].d()] + [c.d() + prev for prev, c in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
 
 
 def identity_operator(realization) -> DiffOperator:

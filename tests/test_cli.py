@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import bellops
+from bellops import darboux
 from bellops.cli import run_command
 from bellops.free import fraction_text
 
@@ -424,6 +425,32 @@ def test_verify_matveev_cli(tmp_path):
     assert code == 0
     assert "residual-zero: yes" in out
     assert "burgers-zero: yes" in out
+
+
+def test_verify_matveev_exits_1_when_a_residual_is_not_zero(tmp_path, monkeypatch):
+    true_transform = darboux.darboux_transform
+
+    def wrong(L, s, table=None):
+        out = true_transform(L, s, table)
+        out.burgers_rhs = out.burgers_rhs + s.one_like()
+        return out
+
+    monkeypatch.setattr(darboux, "darboux_transform", wrong)
+    files = {
+        "d2.op": "a[2] = e\n",
+        "phi.ic": "entry[0][0] = 1 + x\n",
+        "psi.ic": "entry[0][0] = 1 - x\n",
+    }
+    code, out, err = run(
+        ["--ring", "jet", "--dim", "1", "--x-order", "8",
+         "verify-matveev", "d2.op", "--phi0", "phi.ic", "--psi0", "psi.ic",
+         "--t-order", "2"],
+        files,
+        tmp_path,
+    )
+    assert (code, err) == (1, "")
+    assert "residual-zero: yes" in out
+    assert "burgers-zero: no" in out
 
 
 def test_verify_matveev_json(tmp_path):

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from bellops import (
+    ConsistencyError,
     DefectNotScalarError,
     DiffOperator,
     InsufficientOrderError,
@@ -27,6 +28,7 @@ from bellops import (
     transformed_coefficients,
     x_jet,
 )
+from bellops import darboux
 from bellops.operators import ls_apply
 from helpers import darboux_chain, random_free_operator, random_matrix_jet
 
@@ -102,6 +104,34 @@ def test_intertwine_defect_rejects_wrong_transform(ring, s):
     wrong = DiffOperator([2 * s.d(), s, ring.one], ring)  # perturbed D-coefficient
     with pytest.raises(DefectNotScalarError):
         intertwine_defect(op, wrong, s)
+
+
+# -- each certificate catches a wrong build ------------------------------------------------
+
+
+def test_intertwine_defect_rejects_an_order_one_discrepancy(ring, s):
+    # a wrong coefficient 0, by u, leaves the discrepancy u o L_s of order exactly 1
+    op = d_power_operator(ring, 2)
+    wrong = DiffOperator([2 * s.d() + ring.gen("u"), ring.zero, ring.one], ring)
+    with pytest.raises(DefectNotScalarError) as err:
+        intertwine_defect(op, wrong, s)
+    assert str(err.value) == "intertwining discrepancy has order 1, expected <= 0"
+
+
+def test_transform_rejects_a_wrong_intertwine_defect(ring, s, monkeypatch):
+    true_defect = darboux.intertwine_defect
+    monkeypatch.setattr(darboux, "intertwine_defect", lambda *args: true_defect(*args) + s)
+    with pytest.raises(ConsistencyError) as err:
+        darboux_transform(d_power_operator(ring, 2), s)
+    assert str(err.value) == "intertwine defect does not equal Dr + [r, s]"
+
+
+def test_transform_rejects_a_wrong_burgers_rhs(ring, s, monkeypatch):
+    true_rhs = darboux.burgers_rhs
+    monkeypatch.setattr(darboux, "burgers_rhs", lambda *args: true_rhs(*args) + s)
+    with pytest.raises(ConsistencyError) as err:
+        darboux_transform(d_power_operator(ring, 2), s)
+    assert str(err.value) == "Burgers right-hand side does not equal Dr + [r, s]"
 
 
 def test_intertwining_on_jets_order_five():
@@ -252,6 +282,16 @@ def test_coefficient_audit_high_orders(ring, s):
         assert "agree" in audit.report() or "differs" in audit.report()
 
 
+def test_coefficient_audit_names_the_first_wrong_coefficient(ring, s, monkeypatch):
+    true_formula = darboux.transformed_coefficients
+    monkeypatch.setattr(darboux, "transformed_coefficients", lambda *args: (
+        true_formula(*args) + DiffOperator([ring.zero, ring.zero, s], ring)))
+    audit = audit_transformed_coefficients(d_power_operator(ring, 3), s)
+    assert not audit.agrees
+    assert audit.first_mismatch == 2
+    assert audit.report() == "transformed coefficient a[2] differs: formula s vs expansion 0"
+
+
 # -- time propagation --------------------------------------------------------------------------
 
 
@@ -345,6 +385,28 @@ def test_matveev_scalar_end_to_end():
     assert report.burgers_residual.is_zero()
     assert report.residual.x_order == 5
     assert report.residual.t_order == 3
+
+
+@pytest.mark.parametrize("field", ["transformed", "burgers_rhs"])
+def test_matveev_verify_reports_a_wrong_transform(field, monkeypatch):
+    # each residual sees its own part of the transform
+    true_transform = darboux.darboux_transform
+
+    def wrong(L, s, table=None):
+        out = true_transform(L, s, table)
+        if field == "transformed":
+            out.transformed = out.transformed + DiffOperator([s.one_like()])
+        else:
+            out.burgers_rhs = out.burgers_rhs + s.one_like()
+        return out
+
+    monkeypatch.setattr(darboux, "darboux_transform", wrong)
+    phi0 = MatrixJet.scalar(Jet(list(exp_jet(1, 12).coeffs), 16))
+    psi0 = MatrixJet.scalar(Jet(list(exp_jet(-1, 12).coeffs), 16))
+    report = matveev_verify(d_power_operator(MatrixRealization(1), 2), phi0, psi0, 4)
+    assert report.ok is False
+    assert report.residual.is_zero() is (field != "transformed")
+    assert report.burgers_residual.is_zero() is (field != "burgers_rhs")
 
 
 def test_matveev_seed_gives_zero_transform():

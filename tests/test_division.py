@@ -1,12 +1,14 @@
 """One-sided division: goldens, round-trips, residuals, kernel factorization."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from bellops import (
     BellTable,
+    ConsistencyError,
     DiffOperator,
     IndexRangeError,
     Jet,
@@ -22,6 +24,7 @@ from bellops import (
     riccati_residual,
     x_jet,
 )
+from bellops import division
 from helpers import (
     random_free_operator,
     random_matrix_jet,
@@ -194,6 +197,35 @@ def test_left_remainder_sees_coefficient_derivatives(ring, s):
     assert out.remainder != product_form
 
 
+def perturb_power_form(monkeypatch, wrong_at):
+    """Make the power form of divide_left off by e wherever ``wrong_at(n)``."""
+    true_sum = division._alternating_sum
+
+    def perturbed(powers, n):
+        value = true_sum(powers, n)
+        return value + value.one_like() if wrong_at(n) else value
+
+    monkeypatch.setattr(division, "_alternating_sum", perturbed)
+
+
+def test_divide_left_rejects_a_wrong_power_form_coefficient(ring, s, monkeypatch):
+    perturb_power_form(monkeypatch, lambda n: n == 1)
+    with pytest.raises(ConsistencyError) as err:
+        divide_left(d_power_operator(ring, 3), s)
+    assert str(err.value) == (
+        "left-division coefficient b_1 differs between the recursion and the "
+        "power-expansion form")
+
+
+def test_divide_left_rejects_a_wrong_power_form_remainder(ring, s, monkeypatch):
+    perturb_power_form(monkeypatch, lambda n: n == -1)
+    with pytest.raises(ConsistencyError) as err:
+        divide_left(d_power_operator(ring, 3), s)
+    assert str(err.value) == (
+        "left-division remainder differs between the recursion and the "
+        "power-expansion form")
+
+
 # -- residuals ------------------------------------------------------------------------------
 
 
@@ -262,6 +294,18 @@ def test_factor_from_kernel_exponential():
     assert out.quotient.compose(make_ls(s)) + DiffOperator([out.remainder], real) == op
     # quotient is D + lam
     assert out.quotient == DiffOperator([MatrixJet.constant([[lam]]), real.one], real)
+
+
+def test_factor_from_kernel_rejects_an_inexact_right_division(monkeypatch):
+    true_divide = division.divide_right
+    monkeypatch.setattr(division, "divide_right", lambda L, s: replace(
+        true_divide(L, s), remainder=s.one_like(), exact=False))
+    lam = F(3, 2)
+    real = MatrixRealization(1)
+    op = DiffOperator([MatrixJet.constant([[-lam * lam]]), real.zero, real.one], real)
+    with pytest.raises(ConsistencyError) as err:
+        factor_from_kernel(op, MatrixJet.scalar(exp_jet(lam, 16)), "right")
+    assert str(err.value) == "kernel element produced a nonzero right-division remainder"
 
 
 def test_factor_from_kernel_premise_violation():
