@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedRealizationError,
 )
 from .jets import MatrixJet, log_derivative
-from .operators import DiffOperator, ls_apply, make_ls
+from .operators import DiffOperator, dot, ls_apply, make_ls
 
 
 @dataclass
@@ -82,13 +82,15 @@ def darboux_transform(L: DiffOperator, s, table: BellTable = None) -> DarbouxOut
     table = table or BellTable(s)
     division = divide_right(L, s, table)
     remainder = division.remainder
+    # the Burgers sum needs B_(N+1), the largest Bell entry: built before the
+    # transform, it meets a free-ring term budget before the costlier steps do
+    rhs = burgers_rhs(L, s, table)
     lsm = make_ls(s).compose(division.quotient).coeffs
     transformed = DiffOperator((lsm[0] + remainder,) + lsm[1:], L.realization)
     defect = intertwine_defect(L, transformed, s)
     expected = remainder.d() + (remainder * s - s * remainder)
     if not (defect == expected):
         raise ConsistencyError("intertwine defect does not equal Dr + [r, s]")
-    rhs = burgers_rhs(L, s, table)
     if not (rhs == expected):
         raise ConsistencyError("Burgers right-hand side does not equal Dr + [r, s]")
     return DarbouxOutcome(transformed, remainder, defect, rhs)
@@ -116,13 +118,16 @@ def burgers_rhs(L: DiffOperator, s, table: BellTable = None):
 
     The zero operator gives the zero of s's kind and orders, as its terms would.
     """
+    if L.is_zero():
+        return s * 0
     table = table or BellTable(s)
-    acc = None
-    for n in range(L.order + 1):
-        a_n = L.coeff(n)
-        term = ls_apply(a_n, s) * table.left(n) + a_n * table.left(n + 1)
-        acc = term if acc is None else acc + term
-    return s * 0 if acc is None else acc
+
+    def terms():
+        for n, a_n in enumerate(L.coeffs):
+            yield ls_apply(a_n, s), table.left(n)
+            yield a_n, table.left(n + 1)
+
+    return dot(terms())
 
 
 # wavefunction transform psi -> D psi - s psi
@@ -150,14 +155,13 @@ def transformed_coefficients(L: DiffOperator, s, table: BellTable = None) -> Dif
         return table.gen(m, j)
 
     ls_a = [ls_apply(L.coeff(n), s) for n in range(n_top + 1)]
-    coeffs = []
-    for k in range(n_top):
-        acc = zero
+
+    def terms(k):
         for n in range(k, n_top + 1):
-            acc = acc + L.coeff(n) * gen_or_zero(n, n - k)
-            acc = acc + ls_a[n] * gen_or_zero(n - 1, n - 1 - k)
-        coeffs.append(acc)
-    coeffs.append(L.coeff(n_top))
+            yield L.coeff(n), gen_or_zero(n, n - k)
+            yield ls_a[n], gen_or_zero(n - 1, n - 1 - k)
+
+    coeffs = [dot(terms(k)) for k in range(n_top)] + [L.coeff(n_top)]
     return DiffOperator(coeffs, L.realization)
 
 

@@ -4,7 +4,8 @@ Right division L = M L_s + r has the closed solution
 
     r = sum_n a_n B_n(s),        M = sum_{n>=1} a_n H_{n-1},
 
-so both depend on the Bell table alone (M_k = sum_{n>k} a_n B_{n-1,n-1-k}).
+so both depend on the Bell table alone (M_k = sum_{n>k} a_n B_{n-1,n-1-k}); r and
+each M_k are one sum of products (:func:`bellops.operators.dot`).
 Left division L = L_s M^+ + r^+ is solved by the backward recursion
 
     b_{N-1} = a_N,   b_n = a_{n+1} - L_s(b_{n+1}),   r^+ = a_0 - L_s(b_0),
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from .bell import BellTable
 from .errors import ConsistencyError, IndexRangeError, KernelPremiseViolatedError
 from .jets import MatrixJet, log_derivative
-from .operators import DiffOperator, ls_apply
+from .operators import DiffOperator, dot, ls_apply
 
 
 @dataclass
@@ -46,22 +47,15 @@ def divide_right(L: DiffOperator, s, table: BellTable = None) -> DivisionOutcome
     table = table or BellTable(s)
     n_top = L.order
     remainder = _right_remainder(L, table)
-    coeffs = []
-    for k in range(n_top):
-        acc = L.coeff(k + 1) * table.gen(k, 0)
-        for n in range(k + 2, n_top + 1):
-            acc = acc + L.coeff(n) * table.gen(n - 1, n - 1 - k)
-        coeffs.append(acc)
+    coeffs = [dot((L.coeff(n), table.gen(n - 1, n - 1 - k)) for n in range(k + 1, n_top + 1))
+              for k in range(n_top)]
     quotient = DiffOperator(coeffs, L.realization)
     return DivisionOutcome(quotient, remainder, "right", remainder.is_zero())
 
 
 def _right_remainder(L: DiffOperator, table: BellTable):
     """r = sum_n a_n B_n(s)."""
-    acc = L.coeff(0) * table.left(0)
-    for n in range(1, L.order + 1):
-        acc = acc + L.coeff(n) * table.left(n)
-    return acc
+    return dot((L.coeff(n), table.left(n)) for n in range(L.order + 1))
 
 
 def divide_left(L: DiffOperator, s) -> DivisionOutcome:

@@ -1,11 +1,13 @@
-"""Products of square matrices of integer polynomials, the arithmetic under every
-series product in :mod:`bellops.jets`.
+"""Products of matrices of integer polynomials, the arithmetic under every
+series product and every sum of series products in :mod:`bellops.jets`.
 
-:func:`matmul` multiplies two dim x dim grids of integer coefficient lists and
-keeps the first ``n`` coefficients of each entry.  Operands with few nonzero
+:func:`matmul` multiplies an r x K grid by a K x c grid of integer coefficient
+lists and keeps the first ``n`` coefficients of each entry.  A sum of P products
+of dim x dim matrices is one such product, of the dim x P dim row of left
+factors by the P dim x dim column of right factors.  Operands with few nonzero
 coefficients for their width are convolved term by term.  The others use
 Kronecker substitution: each operand entry is packed once into one big integer
-(one slot per coefficient), the d products for an output entry are summed as
+(one slot per coefficient), the K products for an output entry are summed as
 integers, and the sum is unpacked once.
 """
 
@@ -17,7 +19,7 @@ from itertools import product
 from operator import add
 from typing import Sequence
 
-# A dim x dim product packs its operands (Kronecker substitution) when the
+# A product of dim-row grids packs its operands (Kronecker substitution) when the
 # sparser one has, per entry, at least KRONECKER_MIN_LEN / dim nonzero
 # coefficients plus one per KRONECKER_BITS_PER_LEN bits of a coefficient
 # product; below that, term by term.  Term by term pays per nonzero pair and
@@ -30,11 +32,11 @@ KRONECKER_BITS_PER_LEN = 20
 
 
 def _schoolbook(a, b, n: int) -> list:
-    """First ``n`` coefficients of each entry of the product of square grids
-    ``a`` and ``b`` of integer coefficient lists, term by term."""
-    dim = len(a)
-    out = [[[0] * n for _ in range(dim)] for _ in range(dim)]
-    for i, j, k in product(range(dim), repeat=3):
+    """First ``n`` coefficients of each entry of the product of grids ``a``
+    (r x K) and ``b`` (K x c) of integer coefficient lists, term by term."""
+    rows, inner, cols = len(a), len(b), len(b[0])
+    out = [[[0] * n for _ in range(cols)] for _ in range(rows)]
+    for i, j, k in product(range(rows), range(cols), range(inner)):
         p, q = sorted((a[i][k], b[k][j]), key=len)
         acc = out[i][j]
         for s, v in enumerate(p[:n]):
@@ -88,35 +90,36 @@ def _bits(grid) -> int:
     return max([max(max(cs), -min(cs)) for row in grid for cs in row if cs] + [0]).bit_length()
 
 
-def _nonzero(grid) -> int:
-    """Number of nonzero coefficients in a grid of coefficient lists."""
-    return sum([len(cs) - cs.count(0) for row in grid for cs in row])
+def _per_cell(grid) -> float:
+    """Nonzero coefficients per cell of a grid of coefficient lists."""
+    return sum([len(cs) - cs.count(0) for row in grid for cs in row]) / (len(grid) * len(grid[0]))
 
 
 def _kronecker(a, b, n: int, bits: int = None) -> list:
-    """``_schoolbook(a, b, n)`` by packing each operand entry into one integer once,
-    then summing d big-integer products per output entry and unpacking it once.
+    """``_schoolbook(a, b, n)`` by packing each operand entry into one integer once
+    (an empty one is 0), then summing K big-integer products per output entry and
+    unpacking it once.
 
     A slot holds any output coefficient plus a sign bit: a sum of at most
-    ``dim * min(la, lb)`` products of the operands' largest coefficients, whose
+    ``K * min(la, lb)`` products of the operands' largest coefficients, whose
     bit lengths add up to ``bits``.
     """
-    dim = len(a)
+    inner = len(b)
     if bits is None:
         bits = _bits(a) + _bits(b)
     la, lb = (max(len(cs) for row in g for cs in row) for g in (a, b))
-    nb = _slot_bytes(bits + (dim * min(la, lb)).bit_length())
-    pa, pb = ([[_pack(cs, nb) for cs in row] for row in g] for g in (a, b))
-    return [[_unpack(sum([pa[i][k] * pb[k][j] for k in range(dim)]), n, nb)
-             for j in range(dim)] for i in range(dim)]
+    nb = _slot_bytes(bits + (inner * min(la, lb)).bit_length())
+    pa, pb = ([[_pack(cs, nb) if cs else 0 for cs in row] for row in g] for g in (a, b))
+    return [[_unpack(sum([pa[i][k] * pb[k][j] for k in range(inner)]), n, nb)
+             for j in range(len(b[0]))] for i in range(len(a))]
 
 
 def matmul(a, b, n: int) -> list:
-    """First ``n`` coefficients of each entry of the product of square grids ``a``
-    and ``b`` of integer coefficient lists, packed or term by term by the rule above."""
-    dim = len(a)
+    """First ``n`` coefficients of each entry of the product of grids ``a`` (r x K)
+    and ``b`` (K x c) of integer coefficient lists, packed or term by term by the
+    rule above, with ``dim = r``."""
     bits = _bits(a) + _bits(b)
-    per_entry = min(_nonzero(a), _nonzero(b)) / (dim * dim)
-    if per_entry >= KRONECKER_MIN_LEN / dim + bits / KRONECKER_BITS_PER_LEN:
+    per_entry = min(_per_cell(a), _per_cell(b))
+    if per_entry >= KRONECKER_MIN_LEN / len(a) + bits / KRONECKER_BITS_PER_LEN:
         return _kronecker(a, b, n, bits)
     return _schoolbook(a, b, n)

@@ -8,13 +8,14 @@ n + 1 of each; an exact axis (``None``) keeps no trailing zeros, so no operation
 can exhaust it.  A jet-kind matrix has one exact t-level per entry.  Binary
 operations are valid to the minimum of the operand orders and differentiation
 costs one order; both rules are enforced, never silently bent.  An operation is
-a comprehension over the grids and one ``gcd`` pass over its result; a product
-is one integer matrix product (:func:`_product` over :mod:`bellops.intpoly`);
-inversion is Newton iteration in x from a fraction-free inverse of the constant
-term, then a recurrence over the higher t-levels.  :func:`log_derivative`
-divides phi' by phi the Karp-Markstein way: it inverts phi only to half the
-x-order, forms the quotient there and corrects it once by its residual, so no
-full-order inverse is built.
+a comprehension over the grids and one ``gcd`` pass over its result; a sum of
+products ``sum_p a_p b_p``, and so a single product, is one integer matrix
+product (:func:`_sum_of_products` over :mod:`bellops.intpoly`); inversion is
+Newton iteration in x from a fraction-free inverse of the constant term, then a
+recurrence over the higher t-levels, one sum of products per level.
+:func:`log_derivative` divides phi' by phi the Karp-Markstein way: it inverts
+phi only to half the x-order, forms the quotient there and corrects it once by
+its residual, so no full-order inverse is built.
 
 :class:`Jet` (x only) and :class:`BiJet` (t-levels that are x-jets of one
 x-order) are the entry values at the API boundary.  Each is a view of a 1 x 1
@@ -318,26 +319,43 @@ def _flat(nums, nx: Optional[int], nt: Optional[int], stride: int) -> list:
     return flat
 
 
-def _product(a: "MatrixJet", b: "MatrixJet") -> "MatrixJet":
-    """``a b``, valid to the smaller orders, as one integer matrix product.
+def _sum_of_products(pairs: Sequence[tuple]) -> "MatrixJet":
+    """``sum_p a_p b_p`` over the pairs ``(a_p, b_p)``, as one integer matrix product.
 
-    With ``stride = Lx_a + Lx_b - 1`` for the longest x-levels of each side, every
-    x-product of two t-levels fits in one stride, so laying t-level j out from
-    slot ``j * stride`` makes a bivariate product a univariate one.
+    The left factors sit side by side and the right factors stacked, so the
+    product ``[a_1 ... a_P] [b_1; ...; b_P]`` sums every pair's product before one
+    unpack and one ``gcd`` pass.  As for the chain of ``*`` and ``+`` it replaces,
+    the sum is valid to the smallest order of any operand, a bi-jet if any
+    operand is one, and over the lcm of the ``a_p.den * b_p.den``, to which each
+    pair is scaled up.  With ``stride = Lx_a + Lx_b - 1`` for the longest x-levels
+    of each side, every x-product of two t-levels fits in one stride, so laying
+    t-level j out from slot ``j * stride`` makes a bivariate product a
+    univariate one.
     """
-    xo, to = _omin(a.x_order, b.x_order), _omin(a.t_order, b.t_order)
+    first = pairs[0][0]
+    for a, b in pairs:
+        first._pair(a)
+        a._pair(b)
+    operands = [m for pair in pairs for m in pair]
+    xo = to = None
+    for m in operands:
+        xo, to = _omin(xo, m.x_order), _omin(to, m.t_order)
     nx = None if xo is None else xo + 1
     nt = None if to is None else to + 1
-    la, lb = (max(len(lv[:nx]) for row in m.nums for e in row for lv in e[:nt]) for m in (a, b))
-    ta, tb = (max(len(e[:nt]) for row in m.nums for e in row) for m in (a, b))
+    den = lcm(*(a.den * b.den for a, b in pairs))
+    left = [_scaled(a.nums, den // (a.den * b.den)) for a, b in pairs]
+    left = [[e for g in left for e in g[i]] for i in range(first.dim)]
+    right = [row for _, b in pairs for row in b.nums]
+    la, lb = (max(len(lv[:nx]) for row in g for e in row for lv in e[:nt]) for g in (left, right))
+    ta, tb = (max(len(e[:nt]) for row in g for e in row) for g in (left, right))
     stride = la + lb - 1
     lt = ta + tb - 1 if nt is None else min(ta + tb - 1, nt)
     w = stride if nx is None else min(stride, nx)
-    flat = matmul(_flat(a.nums, nx, nt, stride), _flat(b.nums, nx, nt, stride),
+    flat = matmul(_flat(left, nx, nt, stride), _flat(right, nx, nt, stride),
                   (lt - 1) * stride + w)
     nums = [[[cs[j * stride:j * stride + w] for j in range(lt)] for cs in row] for row in flat]
-    kind = "jet" if a.kind == b.kind == "jet" else "bijet"
-    return MatrixJet._of(kind, nums, a.den * b.den, xo, to)
+    kind = "bijet" if any(m.kind == "bijet" for m in operands) else "jet"
+    return MatrixJet._of(kind, nums, den, xo, to)
 
 
 def _claimed(m: "MatrixJet", xo: Optional[int]) -> "MatrixJet":
@@ -524,8 +542,7 @@ class MatrixJet:
             q = _frac(other)
             return MatrixJet._of(self.kind, _scaled(self.nums, q.numerator),
                                  self.den * q.denominator, self.x_order, self.t_order)
-        self._pair(other)
-        return _product(self, other)
+        return _sum_of_products([(self, other)])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -631,9 +648,7 @@ class MatrixJet:
             return x
         out = [x]
         for m in range(1, len(levels)):
-            acc = levels[1] * out[m - 1]
-            for j in range(2, m + 1):
-                acc = acc + levels[j] * out[m - j]
+            acc = _sum_of_products([(levels[j], out[m - j]) for j in range(1, m + 1)])
             out.append(-(x * acc))
         return MatrixJet.from_t_levels(out, self.t_order)
 

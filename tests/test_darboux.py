@@ -13,6 +13,7 @@ from bellops import (
     Jet,
     MatrixJet,
     MatrixRealization,
+    TermBudgetError,
     UnsupportedRealizationError,
     audit_transformed_coefficients,
     burgers_rhs,
@@ -132,6 +133,22 @@ def test_transform_rejects_a_wrong_burgers_rhs(ring, s, monkeypatch):
     with pytest.raises(ConsistencyError) as err:
         darboux_transform(d_power_operator(ring, 2), s)
     assert str(err.value) == "Burgers right-hand side does not equal Dr + [r, s]"
+
+
+def test_transform_builds_the_burgers_sum_before_the_intertwining_check(ring, s, monkeypatch):
+    # the Burgers sum holds the largest Bell entry, B_(N+1): a free-ring term
+    # budget it meets must fail the transform before the costlier checks run
+    def over_budget(*args):
+        raise TermBudgetError("free-ring product of 32768 term pairs exceeds the budget of 16384")
+
+    def not_reached(*args):
+        pytest.fail("intertwine_defect ran before burgers_rhs")
+
+    monkeypatch.setattr(darboux, "burgers_rhs", over_budget)
+    monkeypatch.setattr(darboux, "intertwine_defect", not_reached)
+    with pytest.raises(TermBudgetError) as err:
+        darboux_transform(d_power_operator(ring, 2), s)
+    assert str(err.value) == "free-ring product of 32768 term pairs exceeds the budget of 16384"
 
 
 def test_intertwining_on_jets_order_five():

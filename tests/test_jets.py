@@ -15,6 +15,7 @@ from bellops import (
     BiJet,
     ConsistencyError,
     Jet,
+    KernelError,
     MatrixJet,
     PrecisionExhaustedError,
     RealizationMismatchError,
@@ -642,17 +643,20 @@ def test_kronecker_matches_schoolbook(a, b, finite, data):
     assert intpoly._kronecker([[a]], [[b]], n) == [[expected]]
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_kronecker_slots_hold_extreme_sums(dim):
+@pytest.mark.parametrize("dim, pairs", [(1, 1), (2, 1), (3, 1), (1, 4), (2, 3)],
+                         ids=["1", "2", "3", "1-by-4-pairs", "2-by-3-pairs"])
+def test_kronecker_slots_hold_extreme_sums(dim, pairs):
     # equal extreme coefficients make the middle output coefficient the full sum of
-    # dim * length products, the largest value a slot must hold
+    # K * length products, the largest value a slot must hold; a sum of ``pairs``
+    # dim x dim products is one product over K = pairs * dim
+    inner = pairs * dim
     for bits in range(1, 19):
         for length in (1, 2, 3, 4, 5, 8, 9, 16, 17):
             for sign in (1, -1):
                 p, q = [2**bits - 1] * length, [sign * (2**bits - 1)] * length
                 n = 2 * length - 1
-                expected = [[[dim * c for c in _reference_product(p, q, n)]] * dim] * dim
-                a, b = [[p] * dim] * dim, [[q] * dim] * dim
+                expected = [[[inner * c for c in _reference_product(p, q, n)]] * dim] * dim
+                a, b = [[p] * inner] * dim, [[q] * dim] * inner
                 assert intpoly._kronecker(a, b, n) == expected
                 assert intpoly._schoolbook(a, b, n) == expected
 
@@ -740,6 +744,51 @@ def test_packed_matrix_product_matches_fraction_oracle(helper, data):
     finally:
         jets_module.matmul = chosen
     _assert_entry_matches(entry, _model_mul(ma[0][0], mb[0][0]))
+
+
+def _chain_of_products(pairs):
+    """sum_p a_p b_p as a product, then one ``+`` per further pair."""
+    acc = pairs[0][0] * pairs[0][1]
+    for a, b in pairs[1:]:
+        acc = acc + a * b
+    return acc
+
+
+def _outcome(fn, pairs):
+    """(kind, orders, numerators, denominator) of ``fn(pairs)``, or the class of
+    the domain error raised."""
+    try:
+        m = fn(pairs)
+    except KernelError as err:
+        return type(err)
+    return m.kind, m.x_order, m.t_order, m.nums, m.den
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sum_of_products_matches_the_chain_of_products_and_sums(data):
+    # mixed kinds, unequal denominators, finite-order zeros and exact axes; now
+    # and then one operand of another size, which both must refuse
+    dim = data.draw(st.integers(1, 3))
+    count = data.draw(st.integers(1, 4))
+    ops = [data.draw(_matrix_with_model(dim))[0] for _ in range(2 * count)]
+    if data.draw(st.integers(0, 9)) == 0:
+        ops[data.draw(st.integers(0, 2 * count - 1))] = MatrixJet.identity(dim % 3 + 1)
+    pairs = list(zip(ops[::2], ops[1::2]))
+    expected = _outcome(_chain_of_products, pairs)
+    assert _outcome(jets_module._sum_of_products, pairs) == expected
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sum_of_products_slots_hold_the_whole_sum(dim):
+    # four equal extreme pairs, packed: their sum needs two bits more than a slot
+    # sized for one product holds, and every few widths a slot has no bit to spare
+    for bits in range(1, 41):
+        for sign in (1, -1):
+            a = MatrixJet([[Jet([2**bits - 1] * 16, 15)] * dim] * dim)
+            pairs = [(a, a * sign)] * 4
+            expected = _outcome(_chain_of_products, pairs)
+            assert _outcome(jets_module._sum_of_products, pairs) == expected
 
 
 _fraction = st.one_of(

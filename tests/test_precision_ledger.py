@@ -20,6 +20,8 @@ from bellops import (
     exp_jet,
     log_derivative,
     make_ls,
+    time_propagate,
+    transformed_coefficients,
 )
 
 
@@ -179,6 +181,28 @@ def test_transform_is_prefix_stable(data):
         return out.transformed, out.remainder, out.intertwine_defect, out.burgers_rhs
 
     assert_stable_under(fields, (ops[0], s[0]), (ops[1], s[1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_transformed_coefficients_are_prefix_stable(data):
+    dim, kind = _shape(data.draw)
+    ops = data.draw(_operator_pair(dim, kind, 1))
+    s = data.draw(_matrix_pair(dim, kind))
+    assert_stable_under(lambda L, s: (transformed_coefficients(L, s),),
+                        (ops[0], s[0]), (ops[1], s[1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_time_propagate_is_prefix_stable(data):
+    # propagation needs one-variable jets; too short an x-order claims nothing
+    dim = data.draw(st.sampled_from([1, 2]))
+    ops = data.draw(_operator_pair(dim, "jet", 0))
+    phi = data.draw(_matrix_pair(dim, "jet"))
+    t_order = data.draw(st.integers(0, 2))
+    assert_stable_under(lambda L, p: (time_propagate(L, p, t_order),),
+                        (ops[0], phi[0]), (ops[1], phi[1]))
 
 
 @settings(max_examples=100, deadline=None)

@@ -40,15 +40,22 @@ MUTANTS = [
     ("Bell right recurrence operands swapped", "bell.py",
      "-(prev.d()) + self.s * prev", "-(prev.d()) + prev * self.s"),
     ("Burgers sum operands swapped", "darboux.py",
-     "term = ls_apply(a_n, s) * table.left(n)", "term = table.left(n) * ls_apply(a_n, s)"),
+     "yield ls_apply(a_n, s), table.left(n)", "yield table.left(n), ls_apply(a_n, s)"),
     ("apply operands swapped", "operators.py",
-     "acc = acc + a * deriv", "acc = acc + deriv * a"),
+     "dot(zip(self.coeffs, derivs))", "dot(zip(derivs, self.coeffs))"),
     ("star without the reflection", "jets.py",
      "[[[[-v if k % 2 else v for k, v in enumerate(lv)]", "[[[[v for k, v in enumerate(lv)]"),
     ("Kronecker slot one byte too narrow", "intpoly.py",
      "nb = bits // 8 + 1", "nb = max(bits // 8, 1)"),
     ("Kronecker slot without room for the sum", "intpoly.py",
-     "nb = _slot_bytes(bits + (dim * min(la, lb)).bit_length())", "nb = _slot_bytes(bits)"),
+     "nb = _slot_bytes(bits + (inner * min(la, lb)).bit_length())", "nb = _slot_bytes(bits)"),
+    ("Kronecker slot sized by one pair's dim, not K", "intpoly.py",
+     "(inner * min(la, lb)).bit_length()", "(len(a) * min(la, lb)).bit_length()"),
+    ("sum of products: per-pair denominator scale dropped", "jets.py",
+     "left = [_scaled(a.nums, den // (a.den * b.den)) for a, b in pairs]",
+     "left = [a.nums for a, b in pairs]"),
+    ("sum of products: orders from the first pair only", "jets.py",
+     "    for m in operands:\n        xo, to =", "    for m in pairs[0]:\n        xo, to ="),
     ("time_propagate divides by m + 2", "darboux.py",
      "Fraction(1, m + 1)", "Fraction(1, m + 2)"),
     ("larger MAX_TERMS", "free.py",
@@ -68,7 +75,7 @@ MUTANTS = [
     ("push: top coefficient differentiated", "operators.py",
      "+ [coeffs[-1]]", "+ [coeffs[-1].d()]"),
     ("compose: a * c swapped to c * a", "operators.py",
-     "[acc + a * c for acc, c in", "[acc + c * a for acc, c in"),
+     "terms.append([(a, c) for c in t])", "terms.append([(c, a) for c in t])"),
     ("Bell row: B_m subtracted", "bell.py",
      "row[0] = row[0] + self.left(len(self._rows))",
      "row[0] = row[0] - self.left(len(self._rows))"),
