@@ -1,14 +1,19 @@
 """Products of matrices of integer polynomials, the arithmetic under every
 series product and every sum of series products in :mod:`bellops.jets`.
 
-:func:`matmul` multiplies an r x K grid by a K x c grid of integer coefficient
-lists and keeps the first ``n`` coefficients of each entry.  A sum of P products
-of dim x dim matrices is one such product, of the dim x P dim row of left
-factors by the P dim x dim column of right factors.  Operands with few nonzero
-coefficients for their width are convolved term by term.  The others use
-Kronecker substitution: each operand entry is packed once into one big integer
-(one slot per coefficient), the K products for an output entry are summed as
-integers, and the sum is unpacked once.
+A product multiplies an r x K grid by a K x c grid of integer coefficient lists
+and keeps the first ``n`` coefficients of each entry.  A sum of P products of
+dim x dim matrices is one such product, of the dim x P dim row of left factors
+by the P dim x dim column of right factors.  :func:`prefers_packing` is the
+rule that picks how: operands with few nonzero coefficients for their width
+are convolved term by term (:func:`_schoolbook`).  The others use Kronecker
+substitution: each operand entry is one big integer, one slot per coefficient
+(:func:`pack_grid`, at the width :func:`slot_bytes` gives), the K products for
+an output entry are summed as integers, and the sum is unpacked once
+(:func:`packed_matmul`).  A packed entry depends only on its coefficients and
+the slot width, so a caller that keeps its packs can reuse them in every
+product that needs that width; :mod:`bellops.jets` keeps them on each matrix.
+:func:`_kronecker` is the whole packed product of two grids of coefficient lists.
 """
 
 from __future__ import annotations
@@ -31,6 +36,13 @@ KRONECKER_MIN_LEN = 5
 KRONECKER_BITS_PER_LEN = 20
 
 
+def prefers_packing(per_entry: float, rows: int, bits: int) -> bool:
+    """The rule above, for ``rows``-row grids whose sparser operand has
+    ``per_entry`` nonzero coefficients per entry and whose largest coefficients
+    have bit lengths adding up to ``bits``."""
+    return per_entry >= KRONECKER_MIN_LEN / rows + bits / KRONECKER_BITS_PER_LEN
+
+
 def _schoolbook(a, b, n: int) -> list:
     """First ``n`` coefficients of each entry of the product of grids ``a``
     (r x K) and ``b`` (K x c) of integer coefficient lists, term by term."""
@@ -50,9 +62,14 @@ def _schoolbook(a, b, n: int) -> list:
 _WORDS = {array(code).itemsize: code for code in "BHIQ"}
 
 
-def _slot_bytes(bits: int) -> int:
-    """Bytes in a slot for values below ``2^bits`` in absolute value plus a sign
-    bit, rounded up to a machine word when one is wide enough."""
+def slot_bytes(bits: int, inner: int, la: int, lb: int) -> int:
+    """Bytes in a slot of a product over ``inner`` = K whose operand entries span
+    at most ``la`` and ``lb`` slots and whose largest coefficients have bit
+    lengths adding up to ``bits``: a slot holds any output coefficient, a sum of
+    at most ``K * min(la, lb)`` such products, plus a sign bit, rounded up to a
+    machine word when one is wide enough.  Bounds that are larger than the
+    operands' own give wider slots and the same product."""
+    bits += (inner * min(la, lb)).bit_length()
     nb = bits // 8 + 1
     return min([w for w in _WORDS if w >= nb] or [nb])
 
@@ -73,7 +90,8 @@ def _pack(cs: Sequence[int], nb: int) -> int:
 
 def _unpack(v: int, n: int, nb: int) -> list:
     """The low ``n`` signed ``nb``-byte slots of ``v``, each less than half a slot
-    in absolute value; biased by half a slot, they read as plain bytes."""
+    in absolute value; biased by half a slot, they read as plain bytes.  Slots
+    from ``n`` up are masked off, whatever they hold."""
     h, half = 1 << (8 * nb - 1), b"\0" * (nb - 1) + b"\x80"
     v = (v + int.from_bytes(half * n, "little")) & ((1 << (8 * nb * n)) - 1)
     data = v.to_bytes(nb * n, "little")
@@ -85,41 +103,29 @@ def _unpack(v: int, n: int, nb: int) -> list:
     return [int.from_bytes(data[k:k + nb], "little") - h for k in range(0, nb * n, nb)]
 
 
+def pack_grid(grid, nb: int) -> list:
+    """Each coefficient list of ``grid`` packed at ``nb`` bytes a slot (an all-zero
+    one is 0)."""
+    return [[_pack(cs, nb) if any(cs) else 0 for cs in row] for row in grid]
+
+
+def packed_matmul(pa, pb, n: int, nb: int) -> list:
+    """First ``n`` coefficients of each entry of the product of packed grids ``pa``
+    (r x K) and ``pb`` (K x c): K big-integer products summed per entry, which
+    is unpacked once."""
+    cols = list(zip(*pb))
+    return [[_unpack(sum([x * y for x, y in zip(row, col)]), n, nb) for col in cols]
+            for row in pa]
+
+
 def _bits(grid) -> int:
     """Bit length of the largest absolute coefficient in a grid of coefficient lists."""
     return max([max(max(cs), -min(cs)) for row in grid for cs in row if cs] + [0]).bit_length()
 
 
-def _per_cell(grid) -> float:
-    """Nonzero coefficients per cell of a grid of coefficient lists."""
-    return sum([len(cs) - cs.count(0) for row in grid for cs in row]) / (len(grid) * len(grid[0]))
-
-
-def _kronecker(a, b, n: int, bits: int = None) -> list:
-    """``_schoolbook(a, b, n)`` by packing each operand entry into one integer once
-    (an empty one is 0), then summing K big-integer products per output entry and
-    unpacking it once.
-
-    A slot holds any output coefficient plus a sign bit: a sum of at most
-    ``K * min(la, lb)`` products of the operands' largest coefficients, whose
-    bit lengths add up to ``bits``.
-    """
-    inner = len(b)
-    if bits is None:
-        bits = _bits(a) + _bits(b)
+def _kronecker(a, b, n: int) -> list:
+    """``_schoolbook(a, b, n)``, packed: each operand entry is packed once at the
+    width :func:`slot_bytes` gives for the operands' own bits and lengths."""
     la, lb = (max(len(cs) for row in g for cs in row) for g in (a, b))
-    nb = _slot_bytes(bits + (inner * min(la, lb)).bit_length())
-    pa, pb = ([[_pack(cs, nb) if cs else 0 for cs in row] for row in g] for g in (a, b))
-    return [[_unpack(sum([pa[i][k] * pb[k][j] for k in range(inner)]), n, nb)
-             for j in range(len(b[0]))] for i in range(len(a))]
-
-
-def matmul(a, b, n: int) -> list:
-    """First ``n`` coefficients of each entry of the product of grids ``a`` (r x K)
-    and ``b`` (K x c) of integer coefficient lists, packed or term by term by the
-    rule above, with ``dim = r``."""
-    bits = _bits(a) + _bits(b)
-    per_entry = min(_per_cell(a), _per_cell(b))
-    if per_entry >= KRONECKER_MIN_LEN / len(a) + bits / KRONECKER_BITS_PER_LEN:
-        return _kronecker(a, b, n, bits)
-    return _schoolbook(a, b, n)
+    nb = slot_bytes(_bits(a) + _bits(b), len(b), la, lb)
+    return packed_matmul(pack_grid(a, nb), pack_grid(b, nb), n, nb)

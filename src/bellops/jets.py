@@ -10,7 +10,11 @@ operations are valid to the minimum of the operand orders and differentiation
 costs one order; both rules are enforced, never silently bent.  An operation is
 a comprehension over the grids and one ``gcd`` pass over its result; a sum of
 products ``sum_p a_p b_p``, and so a single product, is one integer matrix
-product (:func:`_sum_of_products` over :mod:`bellops.intpoly`); inversion is
+product (:func:`_sum_of_products` over :mod:`bellops.intpoly`).  Grids are
+never mutated, so a matrix measures its grid once (:meth:`MatrixJet._statistics`)
+and keeps each packing of its cells (:meth:`MatrixJet._packed`) for every later
+product with the same slot width and layout; a product of jets cuts nothing, so
+there a jet's pack depends on the slot width alone.  Inversion is
 Newton iteration in x from a fraction-free inverse of the constant term, then a
 recurrence over the higher t-levels, one sum of products per level.
 :func:`log_derivative` divides phi' by phi the Karp-Markstein way: it inverts
@@ -40,7 +44,7 @@ from .errors import (
     SingularConstantTermError,
     UnsupportedRealizationError,
 )
-from .intpoly import matmul
+from .intpoly import _schoolbook, pack_grid, packed_matmul, prefers_packing, slot_bytes
 
 
 def _frac(v) -> Fraction:
@@ -319,6 +323,12 @@ def _flat(nums, nx: Optional[int], nt: Optional[int], stride: int) -> list:
     return flat
 
 
+def _extent(m: "MatrixJet", nx: Optional[int], nt: Optional[int]) -> tuple:
+    """(longest x-level, most t-levels) of ``m`` cut to ``nx`` and ``nt``."""
+    lx, lt = m._statistics()[:2]
+    return lx if nx is None else min(lx, nx), lt if nt is None else min(lt, nt)
+
+
 def _sum_of_products(pairs: Sequence[tuple]) -> "MatrixJet":
     """``sum_p a_p b_p`` over the pairs ``(a_p, b_p)``, as one integer matrix product.
 
@@ -327,12 +337,25 @@ def _sum_of_products(pairs: Sequence[tuple]) -> "MatrixJet":
     unpack and one ``gcd`` pass.  As for the chain of ``*`` and ``+`` it replaces,
     the sum is valid to the smallest order of any operand, a bi-jet if any
     operand is one, and over the lcm of the ``a_p.den * b_p.den``, to which each
-    pair is scaled up.  With ``stride = Lx_a + Lx_b - 1`` for the longest x-levels
-    of each side, every x-product of two t-levels fits in one stride, so laying
-    t-level j out from slot ``j * stride`` makes a bivariate product a
-    univariate one.
+    pair is scaled up by ``f_p``.  With ``stride = Lx_a + Lx_b - 1`` for the
+    longest x-levels of each side as laid out (:func:`_extent`), every x-product
+    of two t-levels fits in one stride, so laying t-level j out from slot
+    ``j * stride`` makes a bivariate product a univariate one.
+
+    A product of jets cuts nothing: each jet packs its whole stored level,
+    even past the kept order, because output slot k depends only on operand
+    slots <= k and only the first ``w`` slots are kept (term by term, only the
+    kept coefficients are read).  A product with a bi-jet cuts every operand to
+    the kept orders, so that no x-product reaches the next t-level.  The way
+    (packed or term by term) and the slot width come from each operand's grid
+    statistics (:meth:`MatrixJet._statistics`), with ``(f_p - 1).bit_length()``
+    more bits for a scaled left factor; taken over the whole grid, they bound
+    the laid-out part from above, which at most widens a slot.  The packed
+    cells come from each operand's cache (:meth:`MatrixJet._packed`), scaled by
+    ``f_p`` on the left.
     """
     first = pairs[0][0]
+    dim = first.dim
     for a, b in pairs:
         first._pair(a)
         a._pair(b)
@@ -343,18 +366,33 @@ def _sum_of_products(pairs: Sequence[tuple]) -> "MatrixJet":
     nx = None if xo is None else xo + 1
     nt = None if to is None else to + 1
     den = lcm(*(a.den * b.den for a, b in pairs))
-    left = [_scaled(a.nums, den // (a.den * b.den)) for a, b in pairs]
-    left = [[e for g in left for e in g[i]] for i in range(first.dim)]
-    right = [row for _, b in pairs for row in b.nums]
-    la, lb = (max(len(lv[:nx]) for row in g for e in row for lv in e[:nt]) for g in (left, right))
-    ta, tb = (max(len(e[:nt]) for row in g for e in row) for g in (left, right))
+    scales = [den // (a.den * b.den) for a, b in pairs]
+    kind = "bijet" if any(m.kind == "bijet" for m in operands) else "jet"
+    cut = None if kind == "jet" else nx
+    sides = [a for a, _ in pairs], [b for _, b in pairs]
+    (la, ta), (lb, tb) = (map(max, zip(*(_extent(m, cut, nt) for m in side))) for side in sides)
     stride = la + lb - 1
     lt = ta + tb - 1 if nt is None else min(ta + tb - 1, nt)
     w = stride if nx is None else min(stride, nx)
-    flat = matmul(_flat(left, nx, nt, stride), _flat(right, nx, nt, stride),
-                  (lt - 1) * stride + w)
+    n = (lt - 1) * stride + w
+    bits = (max(a._statistics()[2] + (f - 1).bit_length() for a, f in zip(sides[0], scales))
+            + max(b._statistics()[2] for b in sides[1]))
+    inner = len(pairs) * dim
+    per_entry = min(sum(m._statistics()[3] for m in side) for side in sides) / (inner * dim)
+    if prefers_packing(per_entry, dim, bits):
+        nb = slot_bytes(bits, inner, (ta - 1) * stride + la, (tb - 1) * stride + lb)
+        left = [[] for _ in range(dim)]
+        for a, f in zip(sides[0], scales):
+            for row, packed in zip(left, a._packed(nb, cut, nt, stride)):
+                row.extend(packed if f == 1 else [f * v for v in packed])
+        right = [row for b in sides[1] for row in b._packed(nb, cut, nt, stride)]
+        flat = packed_matmul(left, right, n, nb)
+    else:
+        left = [_scaled(a.nums, f) for a, f in zip(sides[0], scales)]
+        left = [[e for g in left for e in g[i]] for i in range(dim)]
+        right = [row for b in sides[1] for row in b.nums]
+        flat = _schoolbook(_flat(left, nx, nt, stride), _flat(right, nx, nt, stride), n)
     nums = [[[cs[j * stride:j * stride + w] for j in range(lt)] for cs in row] for row in flat]
-    kind = "bijet" if any(m.kind == "bijet" for m in operands) else "jet"
     return MatrixJet._of(kind, nums, den, xo, to)
 
 
@@ -410,7 +448,8 @@ class MatrixJet:
     """Square matrix of jets (or bi-jets) sharing one set of valid orders, stored
     as one numerator grid ``nums`` over one denominator ``den``."""
 
-    __slots__ = ("dim", "kind", "x_order", "t_order", "nums", "den", "_entries")
+    __slots__ = ("dim", "kind", "x_order", "t_order", "nums", "den",
+                 "_entries", "_stats", "_packs")
 
     def __init__(self, entries):
         grid = [list(row) for row in entries]
@@ -436,6 +475,7 @@ class MatrixJet:
     def _set(self, kind, nums, den, xo, to):
         self.dim, self.kind, self.nums, self.den = len(nums), kind, nums, den
         self.x_order, self.t_order, self._entries = xo, to, None
+        self._stats = self._packs = None
 
     @classmethod
     def _new(cls, kind: str, nums: list, den: int, xo, to) -> "MatrixJet":
@@ -506,6 +546,29 @@ class MatrixJet:
             raise RealizationMismatchError("expected a MatrixJet operand")
         if other.dim != self.dim:
             raise RealizationMismatchError(f"matrix dimensions differ: {self.dim} vs {other.dim}")
+
+    def _statistics(self) -> tuple:
+        """(longest x-level, most t-levels, bit length of the largest |numerator|,
+        nonzero numerators) over the whole grid, measured on first use."""
+        if self._stats is None:
+            levels = [lv for row in self.nums for e in row for lv in e]
+            self._stats = (max(map(len, levels)), max(len(e) for row in self.nums for e in row),
+                           max([max(max(lv), -min(lv)) for lv in levels]).bit_length(),
+                           sum([len(lv) - lv.count(0) for lv in levels]))
+        return self._stats
+
+    def _packed(self, nb: int, nx: Optional[int], nt: Optional[int], stride: int) -> list:
+        """The cells cut to ``nx`` and ``nt`` (None: uncut), t-levels at ``stride``
+        (:func:`_flat`), packed at ``nb`` bytes a slot and kept for later
+        products.  A jet has one t-level, so its pack depends on ``nb`` and
+        ``nx`` alone."""
+        key = (nb, nx) if self.kind == "jet" else (nb, nx, nt, stride)
+        if self._packs is None:
+            self._packs = {}
+        grid = self._packs.get(key)
+        if grid is None:
+            grid = self._packs[key] = pack_grid(_flat(self.nums, nx, nt, stride), nb)
+        return grid
 
     def promote(self) -> "MatrixJet":
         """Embed a jet-kind matrix as a t-constant bi-jet matrix."""

@@ -1,5 +1,6 @@
 """Truncated-series arithmetic: precision ledger, involution, inversion."""
 
+import copy
 import functools
 import itertools
 import operator
@@ -723,15 +724,14 @@ def _assert_entry_matches(v, model):
             assert got == d.get((i, j), 0), (i, j)
 
 
-@pytest.mark.parametrize("helper", [intpoly._kronecker, intpoly._schoolbook],
-                         ids=["packed", "term_by_term"])
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "term_by_term"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_packed_matrix_product_matches_fraction_oracle(helper, data):
-    # every product goes through ``helper``, whichever way the rule would choose
+def test_packed_matrix_product_matches_fraction_oracle(packed, data):
+    # every product is packed (or term by term), whichever way the rule would choose
     dim = data.draw(st.integers(1, 3))
     (a, ma), (b, mb) = data.draw(_matrix_with_model(dim)), data.draw(_matrix_with_model(dim))
-    chosen, jets_module.matmul = jets_module.matmul, helper
+    chosen, jets_module.prefers_packing = jets_module.prefers_packing, lambda *_: packed
     try:
         for x, y, mx, my in ((a, b, ma, mb), (b, a, mb, ma)):
             product, model = x * y, _model_matmul(mx, my)
@@ -742,7 +742,7 @@ def test_packed_matrix_product_matches_fraction_oracle(helper, data):
         # entry products (jet, bi-jet or mixed) are the same product on 1x1 operands
         entry = a.entries[0][0] * b.entries[0][0]
     finally:
-        jets_module.matmul = chosen
+        jets_module.prefers_packing = chosen
     _assert_entry_matches(entry, _model_mul(ma[0][0], mb[0][0]))
 
 
@@ -789,6 +789,86 @@ def test_sum_of_products_slots_hold_the_whole_sum(dim):
             pairs = [(a, a * sign)] * 4
             expected = _outcome(_chain_of_products, pairs)
             assert _outcome(jets_module._sum_of_products, pairs) == expected
+
+
+def _fresh(m):
+    """``m`` over a copied grid, so nothing it has measured or packed carries over."""
+    return MatrixJet._new(m.kind, copy.deepcopy(m.nums), m.den, m.x_order, m.t_order)
+
+
+def _grid(entry, x_order, t_order=None):
+    """2 x 2 matrix of shifted copies of ``entry``, a list of x-coefficients (jet)
+    or of rows ``[x^i t^0, x^i t^1, ...]`` (bi-jet)."""
+    shifted = [entry[k:] + entry[:k] for k in range(4)]
+    cells = [Jet(e, x_order) if t_order is None else BiJet(e, x_order, t_order) for e in shifted]
+    return MatrixJet([cells[:2], cells[2:]])
+
+
+_BIG = 2**400 - 1
+_small = [1, -2, 3, 0, 5, -1, 2, 7]
+_tail = [3, -1, 0, 2, 1, -2, _BIG, -_BIG, _BIG, -_BIG]
+# each reused operand meets, in this order: a partner that keeps fewer coefficients
+# than it stores, a bi-jet that cuts it shorter still, a narrow slot, a 400-bit
+# slot, and a short exact jet then a bi-jet, two strides for a bi-jet operand
+_REUSED = {
+    "jet": _grid(_small, 7),
+    "bijet": _grid([[c, -c, 2 * c] for c in _small], 7, 2),
+    "jet_with_big_tail": _grid(_tail, 9),
+    "bijet_with_big_tail": _grid([[c, c] for c in _tail], 9, 1),
+}
+_PARTNERS = [
+    _grid([2, 1, -1, 1], 3),
+    _grid([[1, c] for c in _small[:6]], 5, 1),
+    _grid(_small + [1, 1], 9),
+    _grid([_BIG - k for k in range(10)], 9),
+    _grid([1, 1], None),
+    _grid([[c, 1, -c] for c in _small + [2, 3]], 9, 2),
+]
+
+
+@pytest.mark.parametrize("name", list(_REUSED))
+def test_reused_packs_stay_exact(name, monkeypatch):
+    # one operand goes packed through every product below, so later products read
+    # the packs and statistics that earlier ones left on it; each result must match
+    # the same product on fresh copies, and the chain of products term by term
+    a = _fresh(_REUSED[name])
+    for p in _PARTNERS:
+        for pairs in ([(a, p)], [(p, a)], [(a, p), (p, a)], [(a * F(1, 3), p), (a, a)]):
+            monkeypatch.setattr(jets_module, "prefers_packing", lambda *_: True)
+            got = _outcome(jets_module._sum_of_products, pairs)
+            fresh = [tuple(map(_fresh, pair)) for pair in pairs]
+            assert got == _outcome(jets_module._sum_of_products, fresh)
+            monkeypatch.setattr(jets_module, "prefers_packing", lambda *_: False)
+            assert got == _outcome(_chain_of_products, [tuple(map(_fresh, pair)) for pair in pairs])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_operations_never_mutate_their_operands(data):
+    # packs and statistics are kept per matrix, which is sound only while no
+    # operation writes into a grid, its own or one it shares with its result
+    dim = data.draw(st.integers(1, 3))
+    (a, _), (b, _) = data.draw(_matrix_with_model(dim)), data.draw(_matrix_with_model(dim))
+    before = copy.deepcopy((a.nums, b.nums))
+    calls = [
+        lambda: jets_module._sum_of_products([(a, b), (b, a), (a, a)]),
+        lambda: a * b, lambda: b * a, lambda: a * F(-3, 2), lambda: a + b, lambda: a - b,
+        lambda: -a, a.d, a.d0, a.star, a.invert, a.t_levels, a.promote,
+        lambda: a.truncate(0, 0),
+        lambda: MatrixJet.from_t_levels(a.t_levels(), a.t_order),
+        lambda: a.promote() * b + a.t_levels()[0] * b,
+    ]
+    results = []
+    for call in calls:
+        try:
+            results.append(call())
+        except KernelError:
+            pass
+    # results that share a grid with an operand go through products of their own
+    for m in results:
+        if isinstance(m, MatrixJet) and m.dim == dim:
+            m * m
+    assert (a.nums, b.nums) == before
 
 
 _fraction = st.one_of(

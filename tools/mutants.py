@@ -13,6 +13,8 @@ Run from anywhere, standard library only:
 
 Exit status: 0 when every mutant is killed, 1 when some survive, 2 when a
 mutant's target text is not found exactly once or the unmutated copy fails.
+The target check alone, ``_check_targets()``, is a step of the blocking CI
+tests job, so a source change that moves a target fails there.
 """
 
 from __future__ import annotations
@@ -48,14 +50,20 @@ MUTANTS = [
     ("Kronecker slot one byte too narrow", "intpoly.py",
      "nb = bits // 8 + 1", "nb = max(bits // 8, 1)"),
     ("Kronecker slot without room for the sum", "intpoly.py",
-     "nb = _slot_bytes(bits + (inner * min(la, lb)).bit_length())", "nb = _slot_bytes(bits)"),
-    ("Kronecker slot sized by one pair's dim, not K", "intpoly.py",
-     "(inner * min(la, lb)).bit_length()", "(len(a) * min(la, lb)).bit_length()"),
+     "    bits += (inner * min(la, lb)).bit_length()\n", ""),
+    ("Kronecker slot sized by one pair's dim, not K", "jets.py",
+     "nb = slot_bytes(bits, inner,", "nb = slot_bytes(bits, dim,"),
     ("sum of products: per-pair denominator scale dropped", "jets.py",
-     "left = [_scaled(a.nums, den // (a.den * b.den)) for a, b in pairs]",
-     "left = [a.nums for a, b in pairs]"),
+     "scales = [den // (a.den * b.den) for a, b in pairs]", "scales = [1 for a, b in pairs]"),
     ("sum of products: orders from the first pair only", "jets.py",
      "    for m in operands:\n        xo, to =", "    for m in pairs[0]:\n        xo, to ="),
+    ("pack cache key without the slot width", "jets.py",
+     'key = (nb, nx) if self.kind == "jet" else (nb, nx, nt, stride)',
+     'key = nx if self.kind == "jet" else (nx, nt, stride)'),
+    ("bi-jet pack key without the stride", "jets.py",
+     'else (nb, nx, nt, stride)', 'else (nb, nx, nt)'),
+    ("jet packed cut to its first product's order, then reused", "jets.py",
+     'key = (nb, nx) if self.kind == "jet"', 'key = nb if self.kind == "jet"'),
     ("time_propagate divides by m + 2", "darboux.py",
      "Fraction(1, m + 1)", "Fraction(1, m + 2)"),
     ("larger MAX_TERMS", "free.py",
