@@ -43,7 +43,6 @@ class Session:
             self.env = {g: self.ring.gen(g) for g in generators}
             self.one = self.ring.one
             self.realization = self.ring
-            self.generator_names = set(generators)
         else:
             if args.dim < 1:
                 raise KernelError("jet modes need --dim >= 1")
@@ -68,16 +67,14 @@ class Session:
             self.env = {"x": x}
             self.one = one
             self.realization = MatrixRealization(args.dim)
-            self.generator_names = {"x"}
 
     def element(self, text: str):
-        return parse_element(text, self.env, self.one, self.generator_names)
+        return parse_element(text, self.env, self.one)
 
     def operator(self, path: str) -> DiffOperator:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        return parse_operator_text(text, self.env, self.one, self.realization,
-                                   self.generator_names)
+        return parse_operator_text(text, self.env, self.one, self.realization)
 
     def seed(self, path: str) -> MatrixJet:
         if self.args.ring == "free":

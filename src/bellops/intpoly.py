@@ -13,7 +13,6 @@ an output entry are summed as integers, and the sum is unpacked once
 (:func:`packed_matmul`).  A packed entry depends only on its coefficients and
 the slot width, so a caller that keeps its packs can reuse them in every
 product that needs that width; :mod:`bellops.jets` keeps them on each matrix.
-:func:`_kronecker` is the whole packed product of two grids of coefficient lists.
 """
 
 from __future__ import annotations
@@ -117,15 +116,3 @@ def packed_matmul(pa, pb, n: int, nb: int) -> list:
     return [[_unpack(sum([x * y for x, y in zip(row, col)]), n, nb) for col in cols]
             for row in pa]
 
-
-def _bits(grid) -> int:
-    """Bit length of the largest absolute coefficient in a grid of coefficient lists."""
-    return max([max(max(cs), -min(cs)) for row in grid for cs in row if cs] + [0]).bit_length()
-
-
-def _kronecker(a, b, n: int) -> list:
-    """``_schoolbook(a, b, n)``, packed: each operand entry is packed once at the
-    width :func:`slot_bytes` gives for the operands' own bits and lengths."""
-    la, lb = (max(len(cs) for row in g for cs in row) for g in (a, b))
-    nb = slot_bytes(_bits(a) + _bits(b), len(b), la, lb)
-    return packed_matmul(pack_grid(a, nb), pack_grid(b, nb), n, nb)

@@ -39,6 +39,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     ConsistencyError,
+    IndexRangeError,
     PrecisionExhaustedError,
     RealizationMismatchError,
     SingularConstantTermError,
@@ -98,6 +99,8 @@ def _view(m: "MatrixJet"):
 def _coefficient(m: "MatrixJet", i: int, j: int) -> Fraction:
     """Coefficient of x^i t^j of the 1 x 1 matrix ``m``; beyond storage only an
     exact axis may answer."""
+    if i < 0 or j < 0:
+        raise IndexRangeError(f"coefficient indices must be >= 0, got x^{i} t^{j}")
     if m.t_order is not None and j > m.t_order:
         raise PrecisionExhaustedError(f"t^{j} beyond valid t-order {m.t_order}")
     if m.x_order is not None and i > m.x_order:
@@ -218,6 +221,8 @@ class BiJet:
     def level(self, j: int) -> Jet:
         """The x-jet multiplying t^j; beyond storage only an exact t-axis may answer."""
         m, e = self._m, self._m.nums[0][0]
+        if j < 0:
+            raise IndexRangeError(f"t-level index must be >= 0, got {j}")
         if m.t_order is not None and j > m.t_order:
             raise PrecisionExhaustedError(f"t^{j} beyond valid t-order {m.t_order}")
         lv = e[j] if j < len(e) else _zeros(m.x_order)
@@ -509,6 +514,8 @@ class MatrixJet:
 
     @classmethod
     def diagonal(cls, jet: Jet, dim: int) -> "MatrixJet":
+        if dim < 1:
+            raise ValueError("a matrix needs dimension >= 1")
         m = jet._m
         diag, zero = m.nums[0][0], [_zeros(m.x_order)]
         nums = [[diag if i == j else zero for j in range(dim)] for i in range(dim)]

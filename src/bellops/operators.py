@@ -5,14 +5,16 @@ coefficients always multiply powers of D from the left.  Composition and the
 Bell rows push D through an operator one power at a time (:func:`_push_d`),
 which sums to the Leibniz expansion D^k b = sum_i C(k, i) (D^(k-i) b) D^i.
 Every sum of ring products here (each composed coefficient, an applied
-operator, and the Bell-weighted sums of the divisions and the transform) goes
-through :func:`dot`: one packed integer matrix product for matrix jets.
+operator, and the Bell-weighted sums of the divisions and the transform) is
+one call of :func:`dot`: one packed integer matrix product for matrix jets, the
+products added in pair order for the free ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from functools import reduce
+from operator import add
 
 from .errors import RealizationMismatchError
 from .free import FreeElement
@@ -81,16 +83,15 @@ class DiffOperator:
         """Operator product self o other = sum_k a_k T_k, with T_0 = other and
         T_k = D o T_(k-1), which sums to the Leibniz closed form
         T_k = sum_m sum_i C(k, i) (D^(k-i) b_m) D^(i+m).  Coefficient m of the
-        product is the one sum of products sum_k a_k T_k[m]."""
+        product is the one sum of products sum_k a_k T_k[m], k ascending (:func:`dot`)."""
         self._check(other)
         if self.is_zero() or other.is_zero():
             return DiffOperator([], self.realization)
-        t = list(other.coeffs)
-        terms = [[(self.coeffs[0], c) for c in t]]
-        for a in self.coeffs[1:]:
-            t = _push_d(t)
-            terms.append([(a, c) for c in t])
-        return DiffOperator(_sums(terms), self.realization)
+        pushes = [list(other.coeffs)]
+        for _ in self.coeffs[1:]:
+            pushes.append(_push_d(pushes[-1]))
+        return DiffOperator((dot((a, t[m]) for a, t in zip(self.coeffs, pushes) if m < len(t))
+                             for m in range(len(pushes[-1]))), self.realization)
 
     def apply(self, phi):
         """Apply the operator to a ring element: sum a_n D^n(phi)."""
@@ -164,33 +165,14 @@ def _push_d(coeffs: list) -> list:
     return [coeffs[0].d()] + [c.d() + prev for prev, c in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
 
 
-def _sums(terms) -> list:
-    """``out[m] = sum_k a b`` over the pairs ``(a, b) = terms[k][m]``, where row
-    ``terms[k]`` may stop short: one packed product per output for matrix jets,
-    which read the (possibly lazy) rows whole first.  Other rings multiply pair
-    by pair, row by row, and add each product to its running sum, so a
-    free-ring product over the term budget fails at the same pair as in a
-    product-by-product sum."""
-    terms = iter(terms)
-    first = next(terms)
-    if isinstance(first[0][0], MatrixJet):
-        rows = [first, *terms]
-        return [_sum_of_products([row[m] for row in rows if m < len(row)])
-                for m in range(max(map(len, rows)))]
-    out = []
-    for row in chain([first], terms):
-        for m, (a, b) in enumerate(row):
-            if m < len(out):
-                out[m] = out[m] + a * b
-            else:
-                out.append(a * b)
-    return out
-
-
 def dot(pairs):
-    """sum_p a_p b_p over the (possibly lazy) pairs ``(a_p, b_p)``, of which
-    there is at least one."""
-    return _sums([pair] for pair in pairs)[0]
+    """sum_p a_p b_p over the pairs ``(a_p, b_p)``, of which there is at least
+    one: one packed product for matrix jets; other rings add the products in
+    pair order."""
+    pairs = list(pairs)
+    if isinstance(pairs[0][0], MatrixJet):
+        return _sum_of_products(pairs)
+    return reduce(add, (a * b for a, b in pairs))
 
 
 def identity_operator(realization) -> DiffOperator:

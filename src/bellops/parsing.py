@@ -303,8 +303,10 @@ def evaluate(node, env, one):
     raise TypeError(f"unknown AST node {type(node).__name__}")
 
 
-def parse_element(text: str, env, one, generators=None):
-    return evaluate(parse_expr(text, generators), env, one)
+def parse_element(text: str, env, one):
+    """Parse and evaluate expression text; the names bound in ``env`` are its
+    generators."""
+    return evaluate(parse_expr(text, env), env, one)
 
 
 # -- file formats ----------------------------------------------------------------
@@ -320,7 +322,7 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def parse_operator_text(text: str, env, one, realization, generators=None) -> DiffOperator:
+def parse_operator_text(text: str, env, one, realization) -> DiffOperator:
     """Parse `a[k] = expr` lines into an operator; missing powers are zero."""
     coeffs = {}
     for lineno, line in _content_lines(text):
@@ -333,7 +335,7 @@ def parse_operator_text(text: str, env, one, realization, generators=None) -> Di
         if k in coeffs:
             raise DuplicateIndexError(f"coefficient a[{k}] assigned twice", lineno)
         try:
-            coeffs[k] = parse_element(m.group(2), env, one, generators)
+            coeffs[k] = parse_element(m.group(2), env, one)
         except (ExprSyntaxError, UndeclaredGeneratorError) as exc:
             raise OperatorFileError(str(exc), lineno) from exc
     if not coeffs:
@@ -361,7 +363,7 @@ def parse_entry_text(text: str, dim: int, x_order) -> MatrixJet:
             raise DuplicateIndexError(f"entry[{i}][{j}] assigned twice", lineno)
         seen.add((i, j))
         try:
-            entries[i][j] = parse_element(m.group(3), env, one, generators={"x"})
+            entries[i][j] = parse_element(m.group(3), env, one)
         except (ExprSyntaxError, UndeclaredGeneratorError) as exc:
             raise OperatorFileError(str(exc), lineno) from exc
     return MatrixJet(entries)

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 from bellops import (
     BiJet,
     ConsistencyError,
+    IndexRangeError,
     Jet,
     KernelError,
     MatrixJet,
+    MatrixRealization,
     PrecisionExhaustedError,
     RealizationMismatchError,
     SingularConstantTermError,
@@ -26,7 +28,6 @@ from bellops import (
     log_derivative,
     x_jet,
 )
-from bellops import intpoly
 from bellops import jets as jets_module
 from helpers import random_matrix_jet
 
@@ -281,6 +282,16 @@ def test_bijet_truncate_and_at_boundaries():
         exact.truncate(0, 0).dx()
     with pytest.raises(PrecisionExhaustedError):
         exact.truncate(0, 0).dt()
+
+
+def test_negative_indices_are_out_of_range():
+    # a negative index would otherwise read the last stored coefficient or t-level
+    j, b = Jet([1, 2, 3]), BiJet([[1, 2], [3, 4]], 1, 1)
+    for read in (lambda: j.at(-1), lambda: b.at(-1, 0), lambda: b.at(0, -1),
+                 lambda: b.level(-1)):
+        with pytest.raises(IndexRangeError):
+            read()
+    assert (j.at(2), b.at(1, 0), b.level(1).nums) == (3, 3, (2, 4))
 
 
 def test_constructors_store_one_normal_form():
@@ -568,6 +579,17 @@ def test_dimension_mismatch():
         MatrixJet.identity(2) + MatrixJet.identity(3)
 
 
+def test_matrices_need_dimension_one():
+    # as for MatrixJet([]): refused when built, not at the first product
+    for build in (lambda: MatrixJet.identity(0), lambda: MatrixJet.zeros(-1),
+                  lambda: MatrixJet.diagonal(Jet([1, 2], 1), 0),
+                  lambda: MatrixRealization(0).one, lambda: MatrixRealization(0).zero):
+        with pytest.raises(ValueError, match="dimension"):
+            build()
+    with pytest.raises(ValueError):
+        MatrixJet([])
+
+
 # -- dim-1 oracle: sympy series -------------------------------------------------------
 
 
@@ -634,32 +656,55 @@ _int_poly = st.one_of(
 ).flatmap(lambda cs: st.integers(0, 4).map(lambda pad: cs + [0] * pad))
 
 
+def _both_ways(monkeypatch, pairs):
+    """``_sum_of_products(pairs)`` packed, then term by term, as (nums, den, orders)."""
+    out = []
+    for packed in (True, False):
+        monkeypatch.setattr(jets_module, "prefers_packing", lambda *_: packed)
+        m = jets_module._sum_of_products(pairs)
+        out.append((m.nums, m.den, m.x_order, m.t_order))
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(a=_int_poly, b=_int_poly, finite=st.booleans(), data=st.data())
 def test_kronecker_matches_schoolbook(a, b, finite, data):
-    # an exact product keeps every coefficient; a finite order keeps o + 1 of them
-    n = data.draw(st.integers(1, len(a) + len(b) + 2)) if finite else len(a) + len(b) - 1
-    expected = _reference_product(a, b, n)
-    assert intpoly._schoolbook([[a]], [[b]], n) == [[expected]]
-    assert intpoly._kronecker([[a]], [[b]], n) == [[expected]]
+    # an exact product keeps every coefficient, without trailing zeros; a finite
+    # order o keeps o + 1 of them: one operand is cut or padded to that order and
+    # the other stores what it was given, often past the kept order
+    if finite:
+        n = data.draw(st.integers(1, len(a) + len(b) + 2))
+        a = (a + [0] * n)[:n]
+        x, y = Jet(a, n - 1), Jet(b, max(len(b), n) - 1)
+        if data.draw(st.booleans()):
+            (a, x), (b, y) = (b, y), (a, x)
+        expected, order = _reference_product(a, b, n), n - 1
+    else:
+        x, y, order = Jet(a), Jet(b), None
+        expected = _reference_product(a, b, len(a) + len(b) - 1)
+        while len(expected) > 1 and not expected[-1]:
+            expected.pop()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        got = _both_ways(monkeypatch, [(x._m, y._m)])
+    assert got == [([[[expected]]], 1, order, None)] * 2
 
 
 @pytest.mark.parametrize("dim, pairs", [(1, 1), (2, 1), (3, 1), (1, 4), (2, 3)],
                          ids=["1", "2", "3", "1-by-4-pairs", "2-by-3-pairs"])
-def test_kronecker_slots_hold_extreme_sums(dim, pairs):
+def test_kronecker_slots_hold_extreme_sums(dim, pairs, monkeypatch):
     # equal extreme coefficients make the middle output coefficient the full sum of
     # K * length products, the largest value a slot must hold; a sum of ``pairs``
     # dim x dim products is one product over K = pairs * dim
     inner = pairs * dim
     for bits in range(1, 19):
         for length in (1, 2, 3, 4, 5, 8, 9, 16, 17):
+            p = MatrixJet([[Jet([2**bits - 1] * length)] * dim] * dim)
             for sign in (1, -1):
-                p, q = [2**bits - 1] * length, [sign * (2**bits - 1)] * length
-                n = 2 * length - 1
-                expected = [[[inner * c for c in _reference_product(p, q, n)]] * dim] * dim
-                a, b = [[p] * inner] * dim, [[q] * dim] * inner
-                assert intpoly._kronecker(a, b, n) == expected
-                assert intpoly._schoolbook(a, b, n) == expected
+                q = MatrixJet([[Jet([sign * (2**bits - 1)] * length)] * dim] * dim)
+                expected = [inner * c for c in _reference_product(p.nums[0][0][0],
+                                                                  q.nums[0][0][0], 2 * length - 1)]
+                got = _both_ways(monkeypatch, [(p, q)] * pairs)
+                assert got == [([[[expected]] * dim] * dim, 1, None, None)] * 2
 
 
 # Matrices of jets or bi-jets next to an independent model: one

@@ -39,7 +39,7 @@ ENV = {g: RING.gen(g) for g in RING.generators}
 
 
 def parse(text):
-    return parse_element(text, ENV, RING.one, set(RING.generators))
+    return parse_element(text, ENV, RING.one)
 
 
 def test_ast_shapes():
@@ -115,7 +115,7 @@ def test_binary_powering_matches_repeated_products():
     for value, one in ((free, RING.one), (matrix, MatrixJet.identity(2))):
         expected = one
         for k in range(13):
-            assert parse_element(f"m^{k}", {"m": value}, one, {"m"}) == expected
+            assert parse_element(f"m^{k}", {"m": value}, one) == expected
             expected = expected * value
 
 
@@ -134,7 +134,7 @@ def test_whitespace_insensitive():
 
 
 def op_from(text):
-    return parse_operator_text(text, ENV, RING.one, RING, set(RING.generators))
+    return parse_operator_text(text, ENV, RING.one, RING)
 
 
 def test_operator_file_basic():

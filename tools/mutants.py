@@ -83,7 +83,11 @@ MUTANTS = [
     ("push: top coefficient differentiated", "operators.py",
      "+ [coeffs[-1]]", "+ [coeffs[-1].d()]"),
     ("compose: a * c swapped to c * a", "operators.py",
-     "terms.append([(a, c) for c in t])", "terms.append([(c, a) for c in t])"),
+     "dot((a, t[m]) for a, t in", "dot((t[m], a) for a, t in"),
+    ("dot, free ring: a * b swapped to b * a", "operators.py",
+     "reduce(add, (a * b for a, b in pairs))", "reduce(add, (b * a for a, b in pairs))"),
+    ("dot, free ring: first pair dropped", "operators.py",
+     "reduce(add, (a * b for a, b in pairs))", "reduce(add, (a * b for a, b in pairs[1:]))"),
     ("Bell row: B_m subtracted", "bell.py",
      "row[0] = row[0] + self.left(len(self._rows))",
      "row[0] = row[0] - self.left(len(self._rows))"),
