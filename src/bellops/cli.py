@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from typing import NamedTuple
@@ -19,7 +20,7 @@ from .bell import BellTable
 from .darboux import burgers_rhs, darboux_transform, matveev_verify, time_propagate
 from .division import divide_left, divide_right, riccati_residual
 from .errors import KernelError
-from .free import FreeElement, FreeRing, fraction_text
+from .free import FreeElement, FreeRing, Letter, fraction_text, ratio_text
 from .jets import MatrixJet, MatrixRealization, x_jet
 from .operators import DiffOperator
 from .parsing import MAX_POWER, parse_element, parse_entry_text, parse_operator_text
@@ -146,15 +147,11 @@ def text_lines(label, value):
 
 def element_json(value):
     if isinstance(value, FreeElement):
+        letters = value.letters(Letter._asdict)  # {"gen", "star", "d0", "d"}
         return {
             "terms": [
-                {
-                    "coeff": fraction_text(coeff),
-                    "word": [
-                        {"gen": l.gen, "star": l.star, "d0": l.d0, "d": l.d} for l in word
-                    ],
-                }
-                for word, coeff in value.terms()
+                {"coeff": ratio_text(num, value.den), "word": list(map(letters.__getitem__, word))}
+                for _, word, num in value.coded_terms()
             ]
         }
     out = {
@@ -293,6 +290,7 @@ def cmd_verify_matveev(session: Session, args) -> Result:
 # -- argument wiring --------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves no state on the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellops",

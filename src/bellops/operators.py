@@ -153,8 +153,8 @@ def _coeff_power_text(c, k):
         return True, d_part
     if isinstance(c, FreeElement):
         neg, body = c.signed_text()
-        if len(c.terms()) > 1:
-            return False, f"({c.to_text()})*{d_part}"
+        if len(c.nums) > 1:
+            return False, f"({body})*{d_part}"
         return neg, f"{body}*{d_part}"
     return False, f"({c})*{d_part}"
 

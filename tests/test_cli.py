@@ -288,6 +288,16 @@ def test_oversized_jet_sessions_are_domain_errors(argv, message, tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
+def _fresh_process(argv, timeout=60):
+    """(exit code, stdout, stderr) of ``python -m bellops argv`` in a new interpreter."""
+    src = str(Path(bellops.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "bellops", *argv],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv, pairs",
     [
@@ -299,13 +309,28 @@ def test_oversized_jet_sessions_are_domain_errors(argv, message, tmp_path):
 def test_free_products_over_the_term_budget_are_domain_errors(argv, pairs):
     """A fresh interpreter with a deadline: B_20 took about a minute to build and
     (s + D(s))^40 would not fit in memory before the term budget."""
-    src = str(Path(bellops.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "bellops", *argv],
-                          capture_output=True, text=True, timeout=60, env=env)
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == (f"error: free-ring product of {pairs} term pairs exceeds "
-                           "the budget of 16384\n")
+    code, out, err = _fresh_process(argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: free-ring product of {pairs} term pairs exceeds the budget of 16384\n"
+
+
+def test_derivations_over_the_letter_budget_are_domain_errors():
+    """D^k(s^4) has 4 C(k+3, 3) letters; without a budget on d, k = 1000 would
+    run for days.  A fresh interpreter with a deadline."""
+    code, out, err = _fresh_process(["bell", "--side", "left", "--n", "0",
+                                     "--s", "D^1000(s*s*s*s)"])
+    assert (code, out) == (1, "")
+    assert err == ("error: free-ring derivative of 536176 letters exceeds the budget "
+                   "of 524288\n")
+
+
+def test_one_parser_prints_as_a_fresh_process(monkeypatch):
+    # usage errors twice in a row, and help after a good call, go to the same
+    # stream with the same bytes as from a new interpreter
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [["bell", "--side", "sideways", "--n", "3"], ["divide", "--side", "left"],
+             ["bell", "--side", "left", "--n", "2"], ["--help"], ["bell", "--help"]]
+    assert [run(argv) for argv in calls] == [_fresh_process(argv) for argv in calls]
 
 
 def test_time_derivative_in_an_initial_condition_file_is_a_domain_error(tmp_path):

@@ -2,13 +2,22 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellops import FreeElement, FreeRing, Letter, RealizationMismatchError, TermBudgetError
-from bellops.free import MAX_TERMS
+from bellops import (
+    BellTable,
+    FreeElement,
+    FreeRing,
+    Letter,
+    RealizationMismatchError,
+    TermBudgetError,
+)
+from bellops import free
+from bellops.free import FIELD_MAX, MAX_LETTERS, MAX_TERMS
 
 RING = FreeRing(("s", "u"))
 
@@ -23,6 +32,10 @@ words = st.lists(letters, max_size=3).map(tuple)
 elements = st.dictionaries(words, st.integers(-3, 3), max_size=4).map(
     lambda d: FreeElement(RING, {w: Fraction(c) for w, c in d.items()})
 )
+# Letter words with Fraction coefficients over mixed denominators, the
+# constructor's input
+fractions = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+term_dicts = st.dictionaries(words, fractions, max_size=5)
 
 
 def test_additive_identity_and_cancellation(ring, s):
@@ -150,3 +163,103 @@ def test_random_distributivity():
         c = random_element(rng, RING)
         assert a * (b + c) == a * b + a * c
         assert (a + b) * c == a * c + b * c
+
+
+# -- representation: integer numerators over one denominator, words of codes ---
+
+
+def _assert_stored_in_lowest_terms(e):
+    assert e.den > 0 and all(e.nums.values()) and gcd(e.den, *e.nums.values()) == 1
+
+
+def _model_terms(d):
+    """Nonzero terms of a {Letter word: Fraction} dict in the documented order:
+    longer words first, then larger words."""
+    return sorted(((w, c) for w, c in d.items() if c), key=lambda kv: (len(kv[0]), kv[0]),
+                  reverse=True)
+
+
+def _model_mul(a, b):
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+    return out
+
+
+def _model_star(a):
+    out = {}
+    for w, c in a.items():
+        nw = tuple(letter._replace(star=not letter.star) for letter in reversed(w))
+        out[nw] = out.get(nw, 0) + (-c if sum(letter.d for letter in w) % 2 else c)
+    return out
+
+
+any_letters = st.builds(Letter, gen=st.sampled_from(["s", "u"]), star=st.booleans(),
+                        d0=st.integers(0, FIELD_MAX), d=st.integers(0, FIELD_MAX))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=any_letters | letters, b=any_letters | letters)
+def test_codes_sort_as_letters(a, b):
+    assert RING.letter(RING.code(a)) == a
+    assert (RING.code(a) < RING.code(b)) == (a < b)
+    assert (RING.code(a) == RING.code(b)) == (a == b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=term_dicts)
+def test_constructor_round_trips_through_terms(d):
+    e = FreeElement(RING, d)
+    assert e.terms() == _model_terms(d)
+    assert FreeElement(RING, dict(e.terms())) == e
+    assert all(e.coefficient(w) == c for w, c in d.items())
+    _assert_stored_in_lowest_terms(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(da=term_dicts, db=term_dicts, q=fractions)
+def test_mixed_denominators_survive_every_operation(da, db, q):
+    a, b = FreeElement(RING, da), FreeElement(RING, db)
+    added = {w: da.get(w, 0) + db.get(w, 0) for w in {**da, **db}}
+    cases = [
+        (a + b, added),
+        (a - b, {w: da.get(w, 0) - db.get(w, 0) for w in added}),
+        (a * b, _model_mul(da, db)),
+        (a.scale(q), {w: q * c for w, c in da.items()}),
+        (a.star(), _model_star(da)),
+        (-a, {w: -c for w, c in da.items()}),
+    ]
+    for value, model in cases:
+        assert value.terms() == _model_terms(model)
+        _assert_stored_in_lowest_terms(value)
+
+
+def test_letters_outside_the_codes_are_refused(ring):
+    with pytest.raises(KeyError, match="generator 'q' not declared"):
+        FreeElement(ring, {(Letter("q"),): 1})
+    for bad in (Letter("s", d=FIELD_MAX + 1), Letter("s", d0=FIELD_MAX + 1), Letter("s", d=-1)):
+        with pytest.raises(ValueError, match="derivative counts must lie in 0..1048575"):
+            FreeElement(ring, {(bad,): 1})
+        assert ring.one.coefficient((bad,)) == 0
+    assert ring.one.coefficient((Letter("q"),)) == 0
+    # a count at the top of its field is held; one more never carries into the next field
+    for field, derive in (("d", FreeElement.d), ("d0", FreeElement.d0)):
+        top = FreeElement(ring, {(Letter("s", **{field: FIELD_MAX - 1}),): 1})
+        assert derive(top).terms() == [((Letter("s", **{field: FIELD_MAX}),), 1)]
+        with pytest.raises(ValueError, match="derivative count would exceed 1048575"):
+            derive(derive(top))
+
+
+def test_derivation_budget_counts_letters(ring, s, monkeypatch):
+    assert MAX_LETTERS == 2**19
+    # B_16 (278528 letters) still has its derivative, as B_17 needs
+    b16 = BellTable(s).left(16)
+    assert sum(len(w) for w, _ in b16.terms()) <= MAX_LETTERS
+    monkeypatch.setattr(free, "MAX_LETTERS", 6)
+    value = s * s + s.d()  # 3 letters
+    assert value.d().d0() == value.d0().d()  # derivatives of 5 letters each
+    twice = value.d().d()  # D^2(s)*s + 2*D(s)^2 + s*D^2(s) + D^3(s)
+    with pytest.raises(TermBudgetError) as err:
+        twice.d()
+    assert str(err.value) == "free-ring derivative of 7 letters exceeds the budget of 6"

@@ -1,7 +1,6 @@
 """Truncated-series arithmetic: precision ledger, involution, inversion."""
 
 import copy
-import functools
 import itertools
 import operator
 import random
@@ -29,7 +28,7 @@ from bellops import (
     x_jet,
 )
 from bellops import jets as jets_module
-from helpers import random_matrix_jet
+from helpers import _model, _model_add, _model_diff, _model_matmul, _model_mul, random_matrix_jet
 
 jets = st.lists(st.integers(-3, 3), min_size=3, max_size=7).map(
     lambda cs: Jet(cs, len(cs) - 1)
@@ -125,63 +124,9 @@ def test_bijet_product():
     assert (x * t) == (t * x)
 
 
-# Independent model of a bi-jet: ({(i, j): coefficient of x^i t^j}, x_order,
-# t_order) with None for an exact axis; keys lie inside the valid range.
-_SCAN = 10  # exact axes are read this far; random operands stay well inside
-
-
-def _model(rows, xo, to):
-    return (
-        {
-            (i, j): F(c)
-            for i, row in enumerate(rows)
-            for j, c in enumerate(row)
-            if c and (xo is None or i <= xo) and (to is None or j <= to)
-        },
-        xo,
-        to,
-    )
-
-
-def _omin(a, b):
-    return b if a is None else a if b is None else min(a, b)
-
-
-def _in_range(key, xo, to):
-    return (xo is None or key[0] <= xo) and (to is None or key[1] <= to)
-
-
-def _model_add(a, b, sign=1):
-    xo, to = _omin(a[1], b[1]), _omin(a[2], b[2])
-    out = {}
-    for d, f in ((a[0], 1), (b[0], sign)):
-        for key, c in d.items():
-            if _in_range(key, xo, to):
-                out[key] = out.get(key, 0) + f * c
-    return out, xo, to
-
-
-def _model_mul(a, b):
-    xo, to = _omin(a[1], b[1]), _omin(a[2], b[2])
-    out = {}
-    for (p, q), c in a[0].items():
-        for (r, s), e in b[0].items():
-            if _in_range((p + r, q + s), xo, to):
-                out[(p + r, q + s)] = out.get((p + r, q + s), 0) + c * e
-    return out, xo, to
-
-
-def _model_diff(a, axis):
-    orders = [a[1], a[2]]
-    if orders[axis] is not None:
-        orders[axis] -= 1
-    out = {}
-    for key, c in a[0].items():
-        if key[axis]:
-            shifted = list(key)
-            shifted[axis] -= 1
-            out[tuple(shifted)] = key[axis] * c
-    return out, orders[0], orders[1]
+# The independent bi-jet model (``_model`` and the ``_model_*`` operations) lives
+# in helpers.py; exact axes are read this far, random operands stay well inside.
+_SCAN = 10
 
 
 def _assert_matches(b, model):
@@ -742,12 +687,6 @@ def _matrix_with_model(draw, dim):
     m = MatrixJet([entries[dim * i:dim * (i + 1)] for i in range(dim)])
     models = [_model(rows, m.x_order, m.t_order) for rows in rows_of]
     return m, [models[dim * i:dim * (i + 1)] for i in range(dim)]
-
-
-def _model_matmul(a, b):
-    dim = len(a)
-    return [[functools.reduce(_model_add, (_model_mul(a[i][k], b[k][j]) for k in range(dim)))
-             for j in range(dim)] for i in range(dim)]
 
 
 def _assert_entry_matches(v, model):

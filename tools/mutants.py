@@ -68,6 +68,16 @@ MUTANTS = [
      "Fraction(1, m + 1)", "Fraction(1, m + 2)"),
     ("larger MAX_TERMS", "free.py",
      "MAX_TERMS = 2**14", "MAX_TERMS = 2**15"),
+    ("free star without the word reversal", "free.py",
+     "x ^ STAR_BIT for x in w[::-1]", "x ^ STAR_BIT for x in w"),
+    ("free d bumps only the first letter", "free.py",
+     "for i in range(len(w)):", "for i in range(len(w[:1])):"),
+    ("free lowest-terms reduction dropped", "free.py",
+     "g = gcd(den, *nums.values())", "g = 1"),
+    ("free derivation budget off", "free.py",
+     "if letters > MAX_LETTERS:", "if False:"),
+    ("free derivative count carries into the next field", "free.py",
+     "if any(x & full == full for x", "if False and any(x & full == full for x"),
     ("transform's intertwining check off", "darboux.py",
      "    if not (defect == expected):", "    if False:"),
     ("transform's Burgers check off", "darboux.py",
