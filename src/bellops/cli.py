@@ -2,9 +2,10 @@
 
 Global options pick the ring realization and output mode; subcommands dispatch
 to the kernel and return an unrendered :class:`Result`, which :func:`render`
-prints as text or JSON.  Exit codes: 0 success, 1 domain error (bad input data,
-failed verification), 2 usage error.  Results go to stdout, diagnostics to
-stderr.
+prints as text or JSON, each coefficient read from the numerator grid (``nums``
+over ``den``) in lowest terms.  Exit codes: 0 success, 1 domain error (bad input
+data, failed verification), 2 usage error.  Results go to stdout, diagnostics
+to stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .bell import BellTable
 from .darboux import burgers_rhs, darboux_transform, matveev_verify, time_propagate
 from .division import divide_left, divide_right, riccati_residual
 from .errors import KernelError
-from .free import FreeElement, FreeRing, Letter, fraction_text, ratio_text
+from .free import FreeElement, FreeRing, Letter, ratio_text
 from .jets import MatrixJet, MatrixRealization, x_jet
 from .operators import DiffOperator
 from .parsing import MAX_POWER, parse_element, parse_entry_text, parse_operator_text
@@ -112,19 +113,25 @@ def matrix_lines(m: MatrixJet):
     if m.kind == "bijet":
         header += f" t={_fmt_order(m.t_order)}"
         label = "x^{k} t^{t}"
-    levels = m.t_levels()
-    nx = max(len(v.coeffs) for lv in levels for row in lv.entries for v in row)
+    cells = [e for row in m.nums for e in row]
+    nx, nt = max(len(lv) for e in cells for lv in e), max(map(len, cells))
     body = []
     for k in range(nx):
-        for t, lv in enumerate(levels):
-            mat = [[v.at(k) for v in row] for row in lv.entries]
-            if any(v != 0 for row in mat for v in row):
-                body.append(label.format(k=k, t=t) + ": " + _mat_text(mat))
+        for t in range(nt):
+            mat = [[_at(e, t, k) for e in row] for row in m.nums]
+            if any(map(any, mat)):
+                body.append(label.format(k=k, t=t) + ": " + _mat_text(mat, m.den))
     return [header] + (body or ["zero"])
 
 
-def _mat_text(mat):
-    return "[" + ", ".join("[" + ", ".join(map(fraction_text, row)) + "]" for row in mat) + "]"
+def _at(e, t, k):
+    """Numerator of x^k t^t in an entry's t-levels ``e``; 0 past a short level."""
+    return e[t][k] if t < len(e) and k < len(e[t]) else 0
+
+
+def _mat_text(mat, den):
+    return "[" + ", ".join("[" + ", ".join(ratio_text(v, den) for v in row) + "]"
+                           for row in mat) + "]"
 
 
 def text_lines(label, value):
@@ -160,25 +167,24 @@ def element_json(value):
         "x_order": value.x_order,
         "t_order": value.t_order,
     }
+    den = value.den
     if value.kind == "jet":
         out["entries"] = [
-            [
-                {"order": e.order, "coeffs": [fraction_text(c) for c in e.coeffs]}
-                for e in row
-            ]
-            for row in value.entries
+            [{"order": value.x_order, "coeffs": [ratio_text(v, den) for v in e[0]]} for e in row]
+            for row in value.nums
         ]
     else:
         out["entries"] = [
             [
                 {
-                    "x_order": e.x_order,
-                    "t_order": e.t_order,
-                    "coeffs": [[fraction_text(c) for c in r] for r in e.coeffs],
+                    "x_order": value.x_order,
+                    "t_order": value.t_order,
+                    "coeffs": [[ratio_text(_at(e, t, k), den) for t in range(len(e))]
+                               for k in range(max(map(len, e)))],
                 }
                 for e in row
             ]
-            for row in value.entries
+            for row in value.nums
         ]
     return out
 

@@ -140,26 +140,20 @@ def transformed_coefficients(L: DiffOperator, s, table: BellTable = None) -> Dif
         a_N[1] = a_N
         a_k[1] = sum_{n=k}^{N} ( a_n B_{n,n-k} + (Da_n - s a_n) B_{n-1,n-1-k} )
 
-    with B_{m,j} = 0 whenever the indices leave 0 <= j <= m.  The n = k term
-    of the sum contributes exactly a_k (its second part has index -1).
+    with B_{m,j} = 0 whenever the indices leave 0 <= j <= m, which only the
+    second part of the n = k term does (index -1).
     """
     if L.order < 1:
         raise IndexRangeError("the transform needs an operator of order >= 1")
     table = table or BellTable(s)
     n_top = L.order
-    zero = L.realization.zero
-
-    def gen_or_zero(m, j):
-        if m < 0 or j < 0 or j > m:
-            return zero
-        return table.gen(m, j)
-
     ls_a = [ls_apply(L.coeff(n), s) for n in range(n_top + 1)]
 
     def terms(k):
-        for n in range(k, n_top + 1):
-            yield L.coeff(n), gen_or_zero(n, n - k)
-            yield ls_a[n], gen_or_zero(n - 1, n - 1 - k)
+        yield L.coeff(k), table.gen(k, 0)
+        for n in range(k + 1, n_top + 1):
+            yield L.coeff(n), table.gen(n, n - k)
+            yield ls_a[n], table.gen(n - 1, n - 1 - k)
 
     coeffs = [dot(terms(k)) for k in range(n_top)] + [L.coeff(n_top)]
     return DiffOperator(coeffs, L.realization)

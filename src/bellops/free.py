@@ -28,6 +28,7 @@ from operator import index
 from typing import Mapping, NamedTuple
 
 from .errors import RealizationMismatchError, TermBudgetError
+from .jets import _frac
 
 RESERVED_NAMES = frozenset({"e", "D", "D0", "x", "t"})
 # A product of elements with a and b terms forms a * b term pairs; at most this
@@ -51,14 +52,6 @@ class Letter(NamedTuple):
     star: bool = False
     d0: int = 0
     d: int = 0
-
-
-def _coerce_scalar(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an integer or Fraction scalar, got {type(value).__name__}")
 
 
 def _lowest(nums: dict, den: int) -> tuple:
@@ -103,9 +96,6 @@ class FreeRing:
     def gen(self, name: str, star: bool = False) -> "FreeElement":
         return FreeElement._new(self, {(self.code(Letter(name, star)),): 1}, 1)
 
-    def element(self, terms: Mapping[tuple, Fraction]) -> "FreeElement":
-        return FreeElement(self, terms)
-
     def code(self, letter) -> int:
         """The int code of a letter ``(gen, star, d0, d)``."""
         gen, star, d0, d = letter
@@ -135,7 +125,7 @@ class FreeElement:
     def __init__(self, ring: FreeRing, terms: Mapping[tuple, Fraction]):
         """From ``{word of Letters: int or Fraction}``; a letter of an undeclared
         generator raises KeyError, a derivative count over ``FIELD_MAX`` ValueError."""
-        coeffs = list(map(_coerce_scalar, terms.values()))
+        coeffs = list(map(_frac, terms.values()))
         den = lcm(*(c.denominator for c in coeffs))
         nums: dict = {}
         for word, c in zip(terms, coeffs):
@@ -246,7 +236,7 @@ class FreeElement:
         return NotImplemented
 
     def scale(self, value) -> "FreeElement":
-        c = _coerce_scalar(value)
+        c = _frac(value)
         nums = {w: c.numerator * v for w, v in self.nums.items()}
         return FreeElement._new(self.ring, *_lowest(nums, self.den * c.denominator))
 
@@ -347,11 +337,6 @@ def ratio_text(num: int, den: int) -> str:
     g = gcd(num, den)
     num, den = num // g, den // g
     return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
-
-
-def fraction_text(q: Fraction) -> str:
-    """``str(q)``, for a Fraction of any size."""
-    return ratio_text(q.numerator, q.denominator)
 
 
 def _term_text(word: tuple, num: int, den: int, texts: dict) -> str:

@@ -169,6 +169,7 @@ class Jet:
     __mul__, __rmul__ = _lifted(operator.mul), _lifted(operator.mul, reflected=True)
     __neg__, __eq__ = _lifted(operator.neg), _lifted(operator.eq)
     d, reflect = _lifted(methodcaller("d")), _lifted(methodcaller("star"))
+    star = reflect  # the star of a 1 x 1 matrix
     __hash__ = None
 
     def __repr__(self):
@@ -453,8 +454,7 @@ class MatrixJet:
     """Square matrix of jets (or bi-jets) sharing one set of valid orders, stored
     as one numerator grid ``nums`` over one denominator ``den``."""
 
-    __slots__ = ("dim", "kind", "x_order", "t_order", "nums", "den",
-                 "_entries", "_stats", "_packs")
+    __slots__ = ("dim", "kind", "x_order", "t_order", "nums", "den", "_stats", "_packs")
 
     def __init__(self, entries):
         grid = [list(row) for row in entries]
@@ -479,7 +479,7 @@ class MatrixJet:
 
     def _set(self, kind, nums, den, xo, to):
         self.dim, self.kind, self.nums, self.den = len(nums), kind, nums, den
-        self.x_order, self.t_order, self._entries = xo, to, None
+        self.x_order, self.t_order = xo, to
         self._stats = self._packs = None
 
     @classmethod
@@ -530,17 +530,15 @@ class MatrixJet:
     @property
     def entries(self) -> tuple:
         """The entries as lowest-terms :class:`Jet` (or :class:`BiJet`) values,
-        built from the numerator grid on first use."""
-        if self._entries is None:
-            self._entries = tuple(tuple(self._value(e) for e in row) for row in self.nums)
-        return self._entries
+        built from the numerator grid on each call."""
+        return tuple(tuple(self._value(e) for e in row) for row in self.nums)
 
     def _value(self, e: list):
         """The entry with t-levels ``e`` as a lowest-terms jet (or bi-jet)."""
         return _view(MatrixJet._of(self.kind, [[e]], self.den, self.x_order, self.t_order))
 
     def entry(self, i: int, j: int):
-        return self.entries[i][j]
+        return self._value(self.nums[i][j])
 
     def one_like(self) -> "MatrixJet":
         return MatrixJet.identity(self.dim)

@@ -17,7 +17,7 @@ from functools import reduce
 from operator import add
 
 from .errors import RealizationMismatchError
-from .free import FreeElement
+from .free import FreeElement, _joined
 from .jets import MatrixJet, _sum_of_products
 
 
@@ -115,18 +115,8 @@ class DiffOperator:
     __hash__ = None
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        pieces = []
-        for k in range(self.order, -1, -1):
-            c = self.coeff(k)
-            if c.is_zero():
-                continue
-            pieces.append(_coeff_power_text(c, k))
-        text = pieces[0][1] if not pieces[0][0] else "-" + pieces[0][1]
-        for neg, body in pieces[1:]:
-            text += (" - " if neg else " + ") + body
-        return text
+        return _joined([_coeff_power_text(c, k) for k, c in reversed(list(enumerate(self.coeffs)))
+                        if not c.is_zero()])
 
     def __repr__(self):
         return f"DiffOperator(order={self.order})"

@@ -44,7 +44,7 @@ MAX_NESTING = 100
 MAX_POWER = 1000
 
 # Longest allowed integer literal, numerator or denominator, in digits (leading
-# zeros count); Python refuses to convert decimal strings over 4300 digits.
+# zeros count); it is converted in pieces, under any digit limit of ``int()``.
 MAX_DIGITS = 1000
 
 
@@ -118,14 +118,9 @@ def _tokenize(text: str):
                 break
             at = len(text) - len(stripped)
             raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", at)
-        if m.lastgroup == "INT":
-            tokens.append(("INT", m.group("INT"), m.start("INT")))
-        elif m.lastgroup == "IDENT":
-            tokens.append(("IDENT", m.group("IDENT"), m.start("IDENT")))
-        elif m.lastgroup == "STAR":
-            tokens.append(("STAR", "*'", m.start("STAR")))
-        else:
-            tokens.append((m.group("OP"), m.group("OP"), m.start("OP")))
+        kind = m.lastgroup
+        token = m.group(kind)  # an operator token is its own kind
+        tokens.append((token if kind == "OP" else kind, token, m.start(kind)))
         pos = m.end()
     tokens.append(("END", "", len(text)))
     return tokens
@@ -210,7 +205,11 @@ class _Parser:
         tok = self.take("INT")
         if len(tok[1]) > MAX_DIGITS:
             raise ExprSyntaxError(f"numeric literal longer than {MAX_DIGITS} digits", tok[2])
-        return int(tok[1]), tok[2]
+        value = 0
+        for i in range(0, len(tok[1]), 600):  # under int()'s lowest digit limit, 640
+            piece = tok[1][i:i + 600]
+            value = value * 10 ** len(piece) + int(piece)
+        return value, tok[2]
 
     def atom(self):
         tok = self.peek()

@@ -10,11 +10,13 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import bellops
-from bellops import darboux
-from bellops.cli import run_command
-from bellops.free import fraction_text
+from bellops import BiJet, Jet, MatrixJet, darboux
+from bellops.cli import element_json, matrix_lines, run_command
+from bellops.free import ratio_text
 
 
 def run(argv, files=None, tmp_path=None):
@@ -189,14 +191,39 @@ def test_integers_of_any_size_print_and_round_trip(tmp_path):
     # zero runs at the split points, signs and denominators
     for n in (10**5000, 10**5000 + 7, -(10**4400) - 1, 2**20000 - 1):
         for q in (Fraction(n), Fraction(n, 3), Fraction(3, n)):
-            assert _digits_value(fraction_text(q)) == q
-    assert fraction_text(Fraction(-10**600, 7)) == str(Fraction(-10**600, 7))
+            assert _digits_value(ratio_text(2 * q.numerator, 2 * q.denominator)) == q
+    assert ratio_text(-2 * 10**600, 14) == str(Fraction(-10**600, 7))
     # free-ring text and JSON go through the same printer
     files = {"big.op": f"a[0] = ({nines})^5*s\n"}
     code, out, _ = run(["burgers", "big.op", "--s", "0"], files, tmp_path)
     assert code == 0 and _digits_value(out[len("burgers: "):].split("*")[0]) == nines**5
     code, out, _ = run(["--output", "json", "burgers", "big.op", "--s", "0"], files, tmp_path)
     assert code == 0 and _digits_value(json.loads(out)["burgers"]["terms"][0]["coeff"]) == nines**5
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no integer digit limit")
+def test_literals_and_coefficients_past_the_lowest_digit_limit():
+    """At the lowest digit limit the interpreter allows, 1000-digit literals
+    still parse, and coefficients of 1000 digits print in full as text and as
+    JSON, for a free element and for a matrix.  The expected strings are built
+    without any int-to-str conversion."""
+    sevens = "7" * 1000
+    jet = ["--ring", "jet", "--dim", "1"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for coeff in ("1/" + sevens, "-" + sevens + "/2"):
+            argv = ["bell", "--side", "left", "--n", "1", "--s=" + coeff]
+            assert run(argv) == (0, coeff + "\n", "")
+            assert run(["--output", "json"] + argv) == (
+                0, '{"terms": [{"coeff": "%s", "word": []}]}\n' % coeff, "")
+            assert run(jet + argv) == (0, f"order: x=exact\nx^0: [[{coeff}]]\n", "")
+            code, out, err = run(["--output", "json"] + jet + argv)
+            assert (code, err) == (0, "")
+            assert json.loads(out)["entries"] == [[{"order": None, "coeffs": [coeff]}]]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_exit_code_missing_file(tmp_path):
@@ -503,3 +530,165 @@ def test_stdout_stderr_separation(tmp_path):
     code, out, err = run(["bell", "--side", "left", "--n", "2", "--s", "q"])
     assert out == ""
     assert err != ""
+
+
+# -- the matrix printer against the entry views -----------------------------------
+
+_BIG = 3**1300  # a numerator of 2061 bits
+_COEFFICIENTS = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6),
+                                 Fraction(_BIG, 7), -_BIG, 0, 0, 0])
+
+
+@st.composite
+def _matrices(draw):
+    """Jet or bi-jet matrices of dim 1-3 on finite or exact axes, with ragged
+    levels on exact axes, jets among bi-jets, and all-zero matrices."""
+    dim = draw(st.integers(1, 3))
+    bijet = draw(st.booleans())
+    x_order = draw(st.sampled_from([None, None, 0, 1, 3]))
+    t_order = draw(st.sampled_from([None, None, 0, 2]))
+    levels = st.lists(_COEFFICIENTS, min_size=1, max_size=4)
+    entries = []
+    for _ in range(dim * dim):
+        if bijet and draw(st.integers(0, 3)):
+            rows = draw(st.lists(st.lists(_COEFFICIENTS, max_size=3), min_size=1, max_size=4))
+            entries.append(BiJet(rows, x_order, t_order))
+        else:
+            entries.append(Jet(draw(levels), x_order))
+    m = MatrixJet([entries[i * dim:(i + 1) * dim] for i in range(dim)])
+    return m * 0 if draw(st.integers(0, 5)) == 5 else m
+
+
+def _order_text(v):
+    return "exact" if v is None else str(v)
+
+
+def _entry_lines(m):
+    """The text printer, read from the entry views with at() and coeffs."""
+    header = f"order: x={_order_text(m.x_order)}"
+    label = "x^{k}"
+    if m.kind == "bijet":
+        header += f" t={_order_text(m.t_order)}"
+        label = "x^{k} t^{t}"
+    entries = m.entries
+    cells = [v for row in entries for v in row]
+    body = []
+    for k in range(max(len(v.coeffs) for v in cells)):
+        for t in range(max(len(v.levels) for v in cells)):
+            mat = [[v.at(k, t) if m.kind == "bijet" else v.at(k) for v in row] for row in entries]
+            if any(c != 0 for row in mat for c in row):
+                rows = ("[" + ", ".join(map(str, row)) + "]" for row in mat)
+                body.append(label.format(k=k, t=t) + ": [" + ", ".join(rows) + "]")
+    return [header] + (body or ["zero"])
+
+
+def _entry_json(m):
+    """The JSON printer, read from the entry views' coeffs."""
+    out = {"dim": m.dim, "kind": m.kind, "x_order": m.x_order, "t_order": m.t_order}
+    if m.kind == "jet":
+        out["entries"] = [[{"order": v.order, "coeffs": [str(c) for c in v.coeffs]}
+                           for v in row] for row in m.entries]
+    else:
+        out["entries"] = [[{"x_order": v.x_order, "t_order": v.t_order,
+                            "coeffs": [[str(c) for c in r] for r in v.coeffs]}
+                           for v in row] for row in m.entries]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_matrices())
+def test_matrices_print_as_their_entries_read(m):
+    assert matrix_lines(m) == _entry_lines(m)
+    assert element_json(m) == _entry_json(m)
+
+
+# -- fuzzing the command line --------------------------------------------------
+
+# "g" stands for the session's generator; of the atoms, one in twenty is never valid
+_ATOMS = st.sampled_from(["g", "g", "g*'", "e", "0", "2", "1/2"] * 19
+                         + ["s", "x", "t", "3/0", "(", "'", "#"])
+
+# Exponents stay at most 3 and D powers at most 2, so that no example forms a
+# large element; larger ones are refused before any ring work.
+_EXPRESSIONS = st.recursive(_ATOMS, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from(["+", "-", "*", " * ", "+", "-", "*", "+-"]), inner)
+    .map("".join),
+    st.tuples(st.sampled_from(["(", "-(", "D(", "D^2(", "D0(", "D^1001("]), inner)
+    .map(lambda pair: pair[0] + pair[1] + ")"),
+    st.tuples(inner, st.sampled_from(["^0", "^2", "^3", "^2", "^3", "^", "^1001"]))
+    .map(lambda pair: "(" + pair[0] + ")" + pair[1]),
+), max_leaves=6)
+
+# (valid values, invalid values) of each option and file line head
+_CHOICES = {
+    "--gens": (["s", "s,u"], ["s,s", "e", ""]),
+    "--dim": (["1", "2"], ["0"]),
+    "--x-order": (["0", "2", "3"], ["-1"]),
+    "--t-order": (["0", "1", "2"], ["-1"]),
+    "--n": (["0", "1", "3"], ["-1", "n"]),
+    "--k": (["0", "1", "2"], ["-1", "9"]),
+    "--side": (["left", "right"], ["gen", "up"]),
+    "op": (["a[2] = ", "a[1] = ", "a[0] = "], ["a[1001] = ", "b[0] = ", "a[x] = ", "# "]),
+    "ic": (["entry[0][0] = ", "entry[1][1] = ", "entry[0][1] = "], ["entry[2][0] = ", "a[0] = "]),
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """A session's global options, one command, and its files: an operator
+    file, and an initial-condition file for ``propagate``; about one choice in
+    ten is invalid."""
+
+    def pick(key, good=None):
+        """A valid choice (``good`` when given), or one in ten times an invalid one."""
+        valid, invalid = _CHOICES[key]
+        if draw(st.integers(0, 9)) == 0:
+            return draw(st.sampled_from(invalid))
+        return draw(st.sampled_from(valid)) if good is None else good
+
+    ring = draw(st.sampled_from(["free", "jet", "bijet"]))
+    argv = ["--output", draw(st.sampled_from(["text", "json"])), "--ring", ring]
+    gen = "x"
+    if ring == "free":
+        gens = pick("--gens")
+        argv += ["--gens", gens]
+        gen = draw(st.sampled_from(gens.split(",")))
+    else:
+        argv += [a for opt in ("--dim", "--x-order", "--t-order") for a in (opt, pick(opt))]
+    command = draw(st.sampled_from(["bell", "divide", "factor-check", "darboux", "burgers",
+                                    "propagate"]))
+    argv.append(command)
+    if command == "bell":
+        side = draw(st.sampled_from(["left", "right", "gen"]))
+        argv += ["--side", side, "--n", pick("--n")]
+        if side == "gen" or draw(st.integers(0, 9)) == 0:
+            argv += ["--k", pick("--k")]
+    else:
+        argv.append("fuzz.op")
+    if command in ("divide", "factor-check"):
+        argv += ["--side", pick("--side")]
+    if command == "propagate":
+        argv += ["--phi0", "fuzz.ic", "--t-order", pick("--t-order")]
+    else:
+        argv.append("--s=" + draw(_EXPRESSIONS).replace("g", gen))
+    files = {}
+    for name, head in (("fuzz.op", "op"), ("fuzz.ic", "ic")):
+        lines = [pick(head, _CHOICES[head][0][i]) + draw(_EXPRESSIONS).replace("g", gen)
+                 for i in range(draw(st.integers(1, 3)))]
+        files[name] = "\n".join(lines) + "\n"
+    return argv, files
+
+
+@settings(max_examples=200, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_command_lines())
+def test_any_command_line_ends_in_a_known_code_with_one_error_line(case, tmp_path_factory):
+    code, out, err = run(*case, tmp_path_factory.getbasetemp())
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    else:
+        assert out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1

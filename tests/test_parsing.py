@@ -1,9 +1,12 @@
 """Expression grammar, file formats and the print/parse round-trip."""
 
 import random
+import string
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellops import (
     BellTable,
@@ -26,6 +29,7 @@ from bellops.parsing import (
     Product,
     Sum,
     UnitE,
+    _tokenize,
     parse_element,
     parse_entry_text,
     parse_expr,
@@ -228,6 +232,12 @@ def test_entry_file_basic():
     assert m.entry(1, 1) == Jet((2,), 8)
 
 
+def test_entry_file_star_reflects_x():
+    """As for a 1 x 1 matrix, the star of an entry is x -> -x."""
+    m = parse_entry_text("entry[0][0] = (1 + x*')^2\n", 1, 4)
+    assert m.entry(0, 0) == Jet((1, -2, 1), 4)
+
+
 def test_entry_file_has_no_time_derivative():
     with pytest.raises(UnsupportedRealizationError):
         parse_entry_text("entry[0][0] = D0(x)\n", 1, 4)
@@ -240,3 +250,48 @@ def test_entry_file_errors():
         parse_entry_text("entry[0][0] = x\nentry[0][0] = 1\n", 2, 8)
     with pytest.raises(OperatorFileError):
         parse_entry_text("entry[0][0] = y\n", 2, 8)
+
+
+# -- tokenizer fuzzing ---------------------------------------------------------
+
+_TOKEN_CHARS = frozenset(string.ascii_letters + string.digits + "_*+-^()/")
+_PIECES = ["s", "u1", "_a", "D", "D0", "e", "x", "12", "007", "*'", "*", "+", "-", "^",
+           "(", ")", "/", " ", "\t", "\n"]
+_BAD = ["'", "!", "#", "[", ".", ",", "=", "%", "\u00e9", "\x00"]
+
+
+def _first_bad(text):
+    """Offset of the first character no token can start with, or None."""
+    i = 0
+    while i < len(text):
+        if text.startswith("*'", i):
+            i += 2
+        elif text[i].isspace() or text[i] in _TOKEN_CHARS:
+            i += 1
+        else:
+            return i
+    return None
+
+
+def _kind(token):
+    if token.isdigit():
+        return "INT"
+    if token == "*'":
+        return "STAR"
+    return "IDENT" if token[0] in string.ascii_letters + "_" else token
+
+
+@settings(max_examples=300, deadline=1000)
+@given(st.lists(st.sampled_from(_PIECES + _BAD), max_size=30).map("".join))
+def test_tokens_cover_the_input_or_the_first_bad_character_is_named(text):
+    bad = _first_bad(text)
+    if bad is not None:
+        with pytest.raises(ExprSyntaxError) as info:
+            _tokenize(text)
+        assert info.value.position == bad
+        return
+    tokens = _tokenize(text)
+    assert tokens[-1] == ("END", "", len(text))
+    assert "".join(token for _, token, _ in tokens) == "".join(text.split())
+    for kind, token, at in tokens[:-1]:
+        assert (kind, text[at:at + len(token)]) == (_kind(token), token)

@@ -123,6 +123,12 @@ MUTANTS = [
      "0 if report.ok else 1", "0"),
     ("coefficient audit never reports a mismatch", "darboux.py",
      "        if not (formula.coeff(k) == oracle.coeff(k)):", "        if False:"),
+    ("transformed_coefficients: first pair (a_k, B_(k,0)) dropped", "darboux.py",
+     "        yield L.coeff(k), table.gen(k, 0)\n", ""),
+    ("printer: zero fill past a short level dropped", "cli.py",
+     "return e[t][k] if t < len(e) and k < len(e[t]) else 0", "return e[t][k]"),
+    ("tokenizer: operator tokens given the kind OP", "parsing.py",
+     '(token if kind == "OP" else kind, token,', "(kind, token,"),
 ]
 
 
