@@ -2,17 +2,18 @@
 series product and every sum of series products in :mod:`bellops.jets`.
 
 A product multiplies an r x K grid by a K x c grid of integer coefficient lists
-and keeps the first ``n`` coefficients of each entry.  A sum of P products of
-dim x dim matrices is one such product, of the dim x P dim row of left factors
-by the P dim x dim column of right factors.  :func:`prefers_packing` is the
-rule that picks how: operands with few nonzero coefficients for their width
-are convolved term by term (:func:`_schoolbook`).  The others use Kronecker
-substitution: each operand entry is one big integer, one slot per coefficient
-(:func:`pack_grid`, at the width :func:`slot_bytes` gives), the K products for
-an output entry are summed as integers, and the sum is unpacked once
-(:func:`packed_matmul`).  A packed entry depends only on its coefficients and
-the slot width, so a caller that keeps its packs can reuse them in every
-product that needs that width; :mod:`bellops.jets` keeps them on each matrix.
+and keeps coefficients ``low`` to ``n - 1`` of each entry (with ``low > 0``, a
+middle product).  A sum of P products of dim x dim matrices is one such
+product, of the dim x P dim row of left factors by the P dim x dim column of
+right factors.  :func:`prefers_packing` is the rule that picks how: operands
+with few nonzero coefficients for their width are convolved term by term
+(:func:`_schoolbook`).  The others use Kronecker substitution: each operand
+entry is one big integer, one slot per coefficient (:func:`pack_grid`, at the
+width :func:`slot_bytes` gives), the K products for an output entry are summed
+as integers, and the sum is unpacked once (:func:`packed_matmul`).  A packed
+entry depends only on its coefficients and the slot width, so a caller that
+keeps its packs can reuse them in every product that needs that width;
+:mod:`bellops.jets` keeps them on each matrix.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from typing import Sequence
 # per bit of each pair; packing pays every slot at the widest product's
 # width, so zero gaps (a bi-jet's between t-levels) count against packing.
 # Fitted to timings of both helpers on every product of the jet_darboux,
-# matveev_bijet and jet_series_long benchmark workloads.
-KRONECKER_MIN_LEN = 5
-KRONECKER_BITS_PER_LEN = 20
+# matveev_bijet and jet_series_long benchmark workloads, middle products too:
+# term by term skips the pairs below a cut, packed forms them all.
+KRONECKER_MIN_LEN = 3
+KRONECKER_BITS_PER_LEN = 15
 
 
 def prefers_packing(per_entry: float, rows: int, bits: int) -> bool:
@@ -42,18 +44,19 @@ def prefers_packing(per_entry: float, rows: int, bits: int) -> bool:
     return per_entry >= KRONECKER_MIN_LEN / rows + bits / KRONECKER_BITS_PER_LEN
 
 
-def _schoolbook(a, b, n: int) -> list:
-    """First ``n`` coefficients of each entry of the product of grids ``a``
-    (r x K) and ``b`` (K x c) of integer coefficient lists, term by term."""
+def _schoolbook(a, b, n: int, low: int) -> list:
+    """Coefficients ``low`` to ``n - 1`` of each entry of the product of grids
+    ``a`` (r x K) and ``b`` (K x c) of integer coefficient lists, term by term;
+    the pairs below ``low`` are skipped."""
     rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[[0] * n for _ in range(cols)] for _ in range(rows)]
+    out = [[[0] * (n - low) for _ in range(cols)] for _ in range(rows)]
     for i, j, k in product(range(rows), range(cols), range(inner)):
         p, q = sorted((a[i][k], b[k][j]), key=len)
         acc = out[i][j]
         for s, v in enumerate(p[:n]):
             if v:
-                row = q[: n - s]
-                acc[s:s + len(row)] = map(add, acc[s:s + len(row)], map(v.__mul__, row))
+                row, at = q[max(low - s, 0):n - s], max(s - low, 0)
+                acc[at:at + len(row)] = map(add, acc[at:at + len(row)], map(v.__mul__, row))
     return out
 
 
@@ -87,13 +90,15 @@ def _pack(cs: Sequence[int], nb: int) -> int:
     return int.from_bytes(data, "little") - int.from_bytes(half * len(cs), "little")
 
 
-def _unpack(v: int, n: int, nb: int) -> list:
-    """The low ``n`` signed ``nb``-byte slots of ``v``, each less than half a slot
-    in absolute value; biased by half a slot, they read as plain bytes.  Slots
-    from ``n`` up are masked off, whatever they hold."""
+def _unpack(v: int, n: int, nb: int, low: int) -> list:
+    """Slots ``low`` to ``n - 1`` of ``v``, signed ``nb``-byte slots each less than
+    half a slot in absolute value; biased by half a slot, they read as plain
+    bytes, and no slot below ``low`` borrows from the next, so the shift down by
+    ``low`` slots is exact.  Slots from ``n`` up are masked off, whatever they hold."""
     h, half = 1 << (8 * nb - 1), b"\0" * (nb - 1) + b"\x80"
-    v = (v + int.from_bytes(half * n, "little")) & ((1 << (8 * nb * n)) - 1)
-    data = v.to_bytes(nb * n, "little")
+    v = (v + int.from_bytes(half * n, "little")) >> (8 * nb * low)
+    n -= low
+    data = (v & ((1 << (8 * nb * n)) - 1)).to_bytes(nb * n, "little")
     if nb in _WORDS:
         words = array(_WORDS[nb], data)
         if sys.byteorder == "big":
@@ -108,11 +113,11 @@ def pack_grid(grid, nb: int) -> list:
     return [[_pack(cs, nb) if any(cs) else 0 for cs in row] for row in grid]
 
 
-def packed_matmul(pa, pb, n: int, nb: int) -> list:
-    """First ``n`` coefficients of each entry of the product of packed grids ``pa``
-    (r x K) and ``pb`` (K x c): K big-integer products summed per entry, which
-    is unpacked once."""
+def packed_matmul(pa, pb, n: int, nb: int, low: int) -> list:
+    """Coefficients ``low`` to ``n - 1`` of each entry of the product of packed
+    grids ``pa`` (r x K) and ``pb`` (K x c): K big-integer products summed per
+    entry, which is unpacked once."""
     cols = list(zip(*pb))
-    return [[_unpack(sum([x * y for x, y in zip(row, col)]), n, nb) for col in cols]
+    return [[_unpack(sum([x * y for x, y in zip(row, col)]), n, nb, low) for col in cols]
             for row in pa]
 

@@ -14,12 +14,14 @@ product (:func:`_sum_of_products` over :mod:`bellops.intpoly`).  Grids are
 never mutated, so a matrix measures its grid once (:meth:`MatrixJet._statistics`)
 and keeps each packing of its cells (:meth:`MatrixJet._packed`) for every later
 product with the same slot width and layout; a product of jets cuts nothing, so
-there a jet's pack depends on the slot width alone.  Inversion is
-Newton iteration in x from a fraction-free inverse of the constant term, then a
-recurrence over the higher t-levels, one sum of products per level.
-:func:`log_derivative` divides phi' by phi the Karp-Markstein way: it inverts
-phi only to half the x-order, forms the quotient there and corrects it once by
-its residual, so no full-order inverse is built.
+there a jet's pack depends on the slot width alone; a sum of jet products
+may cut its first coefficients off (a middle product).  Inversion is Newton
+iteration in x from a fraction-free inverse of the constant term, each step
+forming only the coefficients not yet known, then a recurrence over the
+higher t-levels, one sum of products per level.  :func:`log_derivative`
+divides phi' by phi the Karp-Markstein way: it inverts phi only to half the
+x-order, forms the quotient there and corrects it once by its residual, in a
+short product, so no full-order inverse is built.
 
 :class:`Jet` (x only) and :class:`BiJet` (t-levels that are x-jets of one
 x-order) are the entry values at the API boundary.  Each is a view of a 1 x 1
@@ -335,8 +337,11 @@ def _extent(m: "MatrixJet", nx: Optional[int], nt: Optional[int]) -> tuple:
     return lx if nx is None else min(lx, nx), lt if nt is None else min(lt, nt)
 
 
-def _sum_of_products(pairs: Sequence[tuple]) -> "MatrixJet":
-    """``sum_p a_p b_p`` over the pairs ``(a_p, b_p)``, as one integer matrix product.
+def _sum_of_products(pairs: Sequence[tuple], low: int = 0) -> "MatrixJet":
+    """``(sum_p a_p b_p) / x^low`` over the pairs ``(a_p, b_p)``, as one integer
+    matrix product: the sum with its first ``low`` x-coefficients cut off, valid
+    to the x-order of the sum less ``low``.  Only a jet-kind sum of a finite
+    x-order of at least ``low`` takes a cut; any other is a ValueError.
 
     The left factors sit side by side and the right factors stacked, so the
     product ``[a_1 ... a_P] [b_1; ...; b_P]`` sums every pair's product before one
@@ -374,6 +379,8 @@ def _sum_of_products(pairs: Sequence[tuple]) -> "MatrixJet":
     den = lcm(*(a.den * b.den for a, b in pairs))
     scales = [den // (a.den * b.den) for a, b in pairs]
     kind = "bijet" if any(m.kind == "bijet" for m in operands) else "jet"
+    if low and (kind != "jet" or xo is None or not 0 < low <= xo):
+        raise ValueError(f"cannot cut {low} coefficients off a {kind} sum of x-order {xo}")
     cut = None if kind == "jet" else nx
     sides = [a for a, _ in pairs], [b for _, b in pairs]
     (la, ta), (lb, tb) = (map(max, zip(*(_extent(m, cut, nt) for m in side))) for side in sides)
@@ -392,14 +399,14 @@ def _sum_of_products(pairs: Sequence[tuple]) -> "MatrixJet":
             for row, packed in zip(left, a._packed(nb, cut, nt, stride)):
                 row.extend(packed if f == 1 else [f * v for v in packed])
         right = [row for b in sides[1] for row in b._packed(nb, cut, nt, stride)]
-        flat = packed_matmul(left, right, n, nb)
+        flat = packed_matmul(left, right, n, nb, low)
     else:
         left = [_scaled(a.nums, f) for a, f in zip(sides[0], scales)]
         left = [[e for g in left for e in g[i]] for i in range(dim)]
         right = [row for b in sides[1] for row in b.nums]
-        flat = _schoolbook(_flat(left, nx, nt, stride), _flat(right, nx, nt, stride), n)
+        flat = _schoolbook(_flat(left, nx, nt, stride), _flat(right, nx, nt, stride), n, low)
     nums = [[[cs[j * stride:j * stride + w] for j in range(lt)] for cs in row] for row in flat]
-    return MatrixJet._of(kind, nums, den, xo, to)
+    return MatrixJet._of(kind, nums, den, None if xo is None else xo - low, to)
 
 
 def _claimed(m: "MatrixJet", xo: Optional[int]) -> "MatrixJet":
@@ -410,6 +417,14 @@ def _claimed(m: "MatrixJet", xo: Optional[int]) -> "MatrixJet":
         return m
     nums = [[[_fit(lv, xo + 1) for lv in e] for e in row] for row in m.nums]
     return MatrixJet._new(m.kind, nums, m.den, xo, m.t_order)
+
+
+def _shifted(m: "MatrixJet", j: int) -> "MatrixJet":
+    """``x^j m``, for ``m`` of a finite x-order, valid to that order plus ``j``:
+    exact arithmetic, so it extends no ledger.  A negative ``j`` divides by
+    ``x^-j``, dropping coefficients that the caller knows to be zero."""
+    nums = [[[[0] * j + lv[max(-j, 0):] for lv in e] for e in row] for row in m.nums]
+    return MatrixJet._new(m.kind, nums, m.den, m.x_order + j, m.t_order)
 
 
 def _mat_inv(a):
@@ -685,8 +700,10 @@ class MatrixJet:
         fraction-free elimination on its numerators.  The t^0 level A_0 is
         inverted in x: exact inputs must be constant there (a non-constant
         polynomial has no polynomial inverse, so a finite x-order is required
-        first); finite x-orders use Newton iteration X <- X(2I - A_0 X) from the
-        inverse of the constant matrix, doubling the valid order at each step.
+        first); finite x-orders use Newton iteration X <- X - x^(k+1) X E from the
+        inverse of the constant matrix, doubling the valid order k at each step:
+        E = (A_0 X - I) / x^(k+1), the coefficients of A_0 X not yet known, is a
+        middle product and X E a short product.
         The higher t-levels follow from X_m = -X_0 sum_{j=1..m} A_j X_{m-j}; a
         jet matrix has none, and an exact t-axis must have none.
         """
@@ -699,15 +716,16 @@ class MatrixJet:
         nums = [[[[a0.den * v]] for v in row] for row in adj]
         x = MatrixJet._of("jet", nums, det, None, None)
         x, k = x.truncate(None if xo is None else 0), 0
-        two = MatrixJet.identity(self.dim) * 2
         while xo is not None and k < xo:
             k2 = min(2 * k + 1, xo)
-            # X ≡ A⁻¹ mod x^{k+1} implies X(2I − AX) ≡ A⁻¹ mod x^{2k+2}, so the
-            # iterate, valid to order k, is claimed to order k2 <= 2k + 1 here:
-            # one of the two places the order ledger is extended (the other is
-            # the correction step of log_derivative).
-            x = _claimed(x, k2)
-            x = x * (two - a0.truncate(k2) * x)
+            # X ≡ A⁻¹ mod x^{k+1} implies X − X(A_0 X − I) ≡ A⁻¹ mod x^{2k+2}, so
+            # the iterate, valid to order k, is claimed to order k2 <= 2k + 1
+            # here: one of the two places the order ledger is extended (the other
+            # is s_h in log_derivative).  A_0 X ≡ I mod x^{k+1}, so E and X E go
+            # only to order k2 − k − 1, and the shift by x^{k+1} is exact.
+            lifted = _claimed(x, k2)
+            e = _sum_of_products([(a0.truncate(k2), lifted)], k + 1)
+            x = lifted - _shifted(x * e, k + 1)
             k = k2
         if self.t_order is None and len(levels) > 1:
             raise PrecisionExhaustedError(
@@ -755,10 +773,10 @@ def log_derivative(phi: MatrixJet, side: str) -> MatrixJet:
     One Karp-Markstein division of g = phi' (right) or -phi' (left) by phi:
     with n the x-order of phi' and h = n // 2, phi is inverted only to x-order
     h (X_h), the quotient is formed to order h (s_h = g_h X_h on the right,
-    X_h g_h on the left) and corrected once by its residual:
-    s = s_h + (g - s_h phi) X_h  on the right,  s = s_h + X_h (g - phi s_h)
-    on the left.  The result has the x-order of phi' and the t-order and kind
-    of phi.
+    X_h g_h on the left) and corrected once by its residual r, which is zero
+    through x^h:  s = s_h + x^(h+1) ((r / x^(h+1)) X_h) with r = g - s_h phi on
+    the right, s = s_h + x^(h+1) (X_h (r / x^(h+1))) with r = g - phi s_h on the
+    left.  The result has the x-order of phi' and the t-order and kind of phi.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -772,15 +790,18 @@ def log_derivative(phi: MatrixJet, side: str) -> MatrixJet:
     # (s - s_h) phi on the right (phi (s - s_h) on the left), so r ≡ 0 mod
     # x^{h+1}, and the corrected quotient misses s by (s - s_h)(I - phi X_h)
     # (or (I - X_h phi)(s - s_h)), which is ≡ 0 mod x^{2h+2} with 2h + 1 >= n.
-    # So both are claimed to order n here: the second place the order ledger is
-    # extended, after invert's Newton lift.  The claim is checked on r before
-    # X_h is claimed.
+    # So s_h is claimed to order n here: the second place the order ledger is
+    # extended, after invert's Newton lift.  The claim is checked on r first;
+    # then the correction is x^{h+1} ((r / x^{h+1}) X_h), a short product to
+    # order n - h - 1 <= h between two exact shifts, which claim nothing.
     s_h = _claimed(mul(g.truncate(h, to), x_h), n)
     r = g - mul(s_h, phi)
     cut = None if h is None else h + 1
     if any(any(lv[:cut]) for row in r.nums for e in row for lv in e):
         raise ConsistencyError("log-derivative residual is not zero to the half order")
-    return s_h + mul(r, _claimed(x_h, n))
+    if cut is None or cut > n:  # r is zero throughout
+        return s_h
+    return s_h + _shifted(mul(_shifted(r, -cut), x_h), cut)
 
 
 def x_jet(order: Optional[int] = None) -> Jet:

@@ -102,7 +102,7 @@ class Sum:
 # -- tokenizer ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<INT>\d+)|(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)|(?P<STAR>\*')"
+    r"\s*(?:(?P<INT>[0-9]+)|(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)|(?P<STAR>\*')"
     r"|(?P<OP>[*+\-^()/]))"
 )
 
@@ -310,8 +310,8 @@ def parse_element(text: str, env, one):
 
 # -- file formats ----------------------------------------------------------------
 
-_COEFF_LINE_RE = re.compile(r"^a\[(\d+)\]\s*=\s*(.+)$")
-_ENTRY_LINE_RE = re.compile(r"^entry\[(\d+)\]\[(\d+)\]\s*=\s*(.+)$")
+_COEFF_LINE_RE = re.compile(r"^a\[([0-9]+)\]\s*=\s*(.+)$")
+_ENTRY_LINE_RE = re.compile(r"^entry\[([0-9]+)\]\[([0-9]+)\]\s*=\s*(.+)$")
 
 
 def _content_lines(text: str):

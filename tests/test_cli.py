@@ -422,6 +422,24 @@ def test_entry_index_limit_is_a_domain_error(tmp_path):
     assert (code, out) == (0, "order: x=3 t=1\nx^0 t^1: [[0, 0], [1, 0]]\nx^1 t^0: [[0, 0], [1, 0]]\n")
 
 
+def test_digits_are_ascii_only(tmp_path):
+    """Other decimal digits (here Arabic-Indic) are bad characters, not numbers."""
+    jet = ["--ring", "jet", "--x-order", "2"]
+    propagate = ["--ring", "jet", "--dim", "2", "--x-order", "4",
+                 "propagate", "d1.op", "--phi0", "seed.ic", "--t-order", "1"]
+    for argv, files, message in (
+        (["bell", "--side", "left", "--n", "1", "--s", "٣/٧"], None,
+         "unexpected character '٣' (at offset 0)"),
+        (jet + ["bell", "--side", "left", "--n", "1", "--s", "x^٢"], None,
+         "unexpected character '٢' (at offset 2)"),
+        (["divide", "--side", "right", "bad.op", "--s", "s"], {"bad.op": "a[٣] = 1\n"},
+         "line 1: expected 'a[<k>] = <expr>'"),
+        (propagate, {"d1.op": "a[1] = e\n", "seed.ic": "entry[٠][0] = x\n"},
+         "line 1: expected 'entry[<i>][<j>] = <polynomial>'"),
+    ):
+        assert run(argv, files, tmp_path) == (1, "", f"error: {message}\n")
+
+
 def test_help_exit_zero(tmp_path):
     code, out, _ = run(["--help"])
     assert code == 0

@@ -775,6 +775,73 @@ def test_sum_of_products_slots_hold_the_whole_sum(dim):
             assert _outcome(jets_module._sum_of_products, pairs) == expected
 
 
+# 2^b - 1 for b next to a machine word, so slot widths sit at the word boundaries
+_edge = st.sampled_from((7, 8, 15, 16, 31, 32, 63, 64)).flatmap(
+    lambda b: st.sampled_from((2**b - 1, 1 - 2**b)))
+_cut_coeff = st.one_of(st.integers(-3, 3), _edge, st.integers(-(2**400), 2**400))
+
+
+@st.composite
+def _jet_matrix(draw, dim, order):
+    """A jet matrix of x-order ``order`` or a little more, over its own denominator."""
+    xo = order + draw(st.sampled_from((0, 0, 1, 3)))
+    den = draw(st.integers(1, 7) | st.integers(1, 2**64))
+    cells = [[Jet([F(c, den) for c in draw(st.lists(_cut_coeff, min_size=xo + 1,
+                                                     max_size=xo + 1))], xo)
+              for _ in range(dim)] for _ in range(dim)]
+    return MatrixJet(cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_low_cut_is_the_sum_sliced(data):
+    # (sum_p a_p b_p) / x^low, packed and term by term, is the full sum without its
+    # first low coefficients, over pairs whose products have different denominators
+    dim, count = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    order = data.draw(st.integers(0, 12))
+    pairs = [(data.draw(_jet_matrix(dim, order)), data.draw(_jet_matrix(dim, order)))
+             for _ in range(count)]
+    xo = min(m.x_order for pair in pairs for m in pair)
+    low = data.draw(st.sampled_from(sorted({0, min(1, xo), xo})))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for packed in (True, False):
+            monkeypatch.setattr(jets_module, "prefers_packing", lambda *_: packed)
+            full = jets_module._sum_of_products(pairs)
+            sliced = MatrixJet._of("jet", [[[lv[low:] for lv in e] for e in row]
+                                           for row in full.nums], full.den, xo - low, None)
+            cut = jets_module._sum_of_products(pairs, low)
+            assert (cut.kind, cut.x_order, cut.t_order, cut.nums, cut.den) == (
+                "jet", xo - low, None, sliced.nums, sliced.den)
+
+
+def test_low_cut_needs_a_finite_jet_sum_at_least_as_long():
+    jet, one = MatrixJet.diagonal(Jet([1, 2, 3], 2), 2), MatrixJet.identity(2)
+    for pairs, low in (([(jet, jet)], 3), ([(jet, jet)], -1), ([(one, one)], 1),
+                       ([(jet.promote(), jet)], 1)):
+        with pytest.raises(ValueError, match="^cannot cut"):
+            jets_module._sum_of_products(pairs, low)
+
+
+def test_newton_steps_form_only_the_unknown_coefficients(monkeypatch):
+    # nonzero coefficient pairs multiplied while inverting, all term by term:
+    # Newton steps X(2I - A_0 X) of two full products come to 24345 here, and the
+    # middle and short products must keep the count to 0.6 of that
+    count, schoolbook = [0], jets_module._schoolbook
+
+    def counting(a, b, n, low):
+        for i, k, j in itertools.product(range(len(a)), range(len(b)), range(len(b[0]))):
+            ts = [t for t, v in enumerate(b[k][j]) if v]
+            count[0] += sum(low <= s + t < n for s, v in enumerate(a[i][k]) if v for t in ts)
+        return schoolbook(a, b, n, low)
+
+    monkeypatch.setattr(jets_module, "_schoolbook", counting)
+    monkeypatch.setattr(jets_module, "prefers_packing", lambda *_: False)
+    phi = MatrixJet.diagonal(exp_jet(F(13, 9), 160), 1)
+    inverse = phi.invert()
+    assert count[0] <= 0.6 * 24345
+    assert inverse == MatrixJet.diagonal(exp_jet(F(-13, 9), 160), 1)
+
+
 def _fresh(m):
     """``m`` over a copied grid, so nothing it has measured or packed carries over."""
     return MatrixJet._new(m.kind, copy.deepcopy(m.nums), m.den, m.x_order, m.t_order)

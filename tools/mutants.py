@@ -55,6 +55,13 @@ MUTANTS = [
      "nb = slot_bytes(bits, inner,", "nb = slot_bytes(bits, dim,"),
     ("sum of products: per-pair denominator scale dropped", "jets.py",
      "scales = [den // (a.den * b.den) for a, b in pairs]", "scales = [1 for a, b in pairs]"),
+    ("Newton middle product cut at k, not k + 1", "jets.py",
+     "e = _sum_of_products([(a0.truncate(k2), lifted)], k + 1)",
+     "e = _sum_of_products([(a0.truncate(k2), lifted)], k)"),
+    ("Newton correction shifted by k, not k + 1", "jets.py",
+     "x = lifted - _shifted(x * e, k + 1)", "x = lifted - _shifted(x * e, k)"),
+    ("log_derivative correction shifted by h, not h + 1", "jets.py",
+     "mul(_shifted(r, -cut), x_h), cut)", "mul(_shifted(r, -cut), x_h), cut - 1)"),
     ("sum of products: orders from the first pair only", "jets.py",
      "    for m in operands:\n        xo, to =", "    for m in pairs[0]:\n        xo, to ="),
     ("pack cache key without the slot width", "jets.py",
