@@ -94,11 +94,12 @@ class DiffOperator:
                              for m in range(len(pushes[-1]))), self.realization)
 
     def apply(self, phi):
-        """Apply the operator to a ring element: sum a_n D^n(phi)."""
+        """Apply the operator to a ring element: sum a_n D^n(phi).  The zero
+        operator gives the zero of phi's kind and orders, as its terms would."""
         if phi.realization != self.realization:
             raise RealizationMismatchError("element lives over a different realization")
         if self.is_zero():
-            return phi.zero_like()
+            return phi * 0
         derivs = [phi]
         for _ in self.coeffs[1:]:
             derivs.append(derivs[-1].d())

@@ -13,6 +13,13 @@ The star suffix token is ``*'`` so it cannot collide with multiplication.
 Exponents (``^INT``, ``D^INT``, ``D0^INT``) and operator-file indices are at
 most ``MAX_POWER``, and entry indices at most ``dim - 1``; integer literals in
 ``NUM`` are at most ``MAX_DIGITS`` digits long.
+
+Parsing and evaluation are one walk: each grammar method of ``_Parser`` reads
+its form and returns a thunk, a zero-argument function that does the form's
+ring work when called.  :func:`parse_element` calls the thunk only after the
+whole text is read, so every syntax, bound and generator error is raised
+before any ring operation.
+
 Operator files hold ``a[<k>] = <expr>`` lines; initial-condition files hold
 ``entry[<i>][<j>] = <polynomial in x>`` lines.  ``#`` starts a comment.
 """
@@ -20,7 +27,6 @@ Operator files hold ``a[<k>] = <expr>`` lines; initial-condition files hold
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -34,7 +40,7 @@ from .jets import Jet, MatrixJet, x_jet
 from .operators import DiffOperator
 
 # Deepest allowed parenthesis nesting, counting the parentheses of D(...) and
-# D0(...); each level costs a few parser and evaluator frames, so this keeps
+# D0(...); each level costs a few parser and thunk frames, so this keeps
 # hostile input far from the interpreter's recursion limit.
 MAX_NESTING = 100
 
@@ -55,48 +61,6 @@ def _bounded(digits: str, limit: int = MAX_POWER):
     if len(digits) > len(str(limit)) or int(digits) > limit:
         return None
     return int(digits)
-
-
-# -- AST ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class UnitE:
-    pass
-
-
-@dataclass(frozen=True)
-class GenRef:
-    name: str
-    star: bool = False
-
-
-@dataclass(frozen=True)
-class DApp:
-    which: str  # 'D' or 'D0'
-    power: int
-    inner: object
-
-
-@dataclass(frozen=True)
-class PowNode:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple  # of (sign, node) with sign in {+1, -1}
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -127,11 +91,13 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, generators=None):
-        self.text = text
+    """Recursive descent whose grammar methods return thunks (see above)."""
+
+    def __init__(self, text: str, env, one):
         self.tokens = _tokenize(text)
         self.i = 0
-        self.generators = generators
+        self.env = env
+        self.one = one
         self.depth = 0
 
     def peek(self):
@@ -145,40 +111,67 @@ class _Parser:
         return tok
 
     def parse(self):
-        node = self.sum()
+        value = self.sum()
         tok = self.peek()
         if tok[0] != "END":
             raise ExprSyntaxError(f"unexpected trailing {tok[1]!r}", tok[2])
-        return node
+        return value
 
     def sum(self):
-        terms = []
+        """Terms added left to right; a negative term is negated, then added."""
         sign = 1
         if self.peek()[0] == "-":
             self.take()
             sign = -1
-        terms.append((sign, self.term()))
+        terms = [(sign, self.term())]
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            terms.append((1 if op == "+" else -1, self.term()))
-        if len(terms) == 1 and terms[0][0] == 1:
+            terms.append((1 if self.take()[0] == "+" else -1, self.term()))
+        if len(terms) == 1 and sign == 1:
             return terms[0][1]
-        return Sum(tuple(terms))
+
+        def value():
+            total = None
+            for sign, term in terms:
+                piece = term()
+                if sign < 0:
+                    piece = -piece
+                total = piece if total is None else total + piece
+            return total
+        return value
 
     def term(self):
+        """Factors multiplied left to right, in their written order."""
         factors = [self.factor()]
         while self.peek()[0] == "*":
             self.take()
             factors.append(self.factor())
         if len(factors) == 1:
             return factors[0]
-        return Product(tuple(factors))
+
+        def value():
+            total = factors[0]()
+            for factor in factors[1:]:
+                total = total * factor()
+            return total
+        return value
 
     def factor(self):
         base = self.atom()
-        if self.peek()[0] == "^":
-            return PowNode(base, self.power())
-        return base
+        if self.peek()[0] != "^":
+            return base
+        exponent, one = self.power(), self.one
+
+        def value():
+            # binary powering: powers of one element commute, so this is exact
+            b, total, k = base(), one, exponent
+            while k:
+                if k & 1:
+                    total = total * b
+                k >>= 1
+                if k:
+                    b = b * b
+            return total
+        return value
 
     def power(self):
         """'^' INT, with the integer at most MAX_POWER."""
@@ -195,10 +188,10 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", tok[2])
-        node = self.sum()
+        value = self.sum()
         self.take(")")
         self.depth -= 1
-        return node
+        return value
 
     def literal(self):
         """INT, at most MAX_DIGITS digits long: (value, offset)."""
@@ -211,101 +204,61 @@ class _Parser:
             value = value * 10 ** len(piece) + int(piece)
         return value, tok[2]
 
+    def derivation(self, name):
+        """D or D0 (already taken) to a power, applied to a group one derivation at a time."""
+        power = self.power() if self.peek()[0] == "^" else 1
+        inner = self.group()
+
+        def value():
+            v = inner()
+            for _ in range(power):
+                if name == "D":
+                    v = v.d()
+                elif hasattr(v, "d0"):
+                    v = v.d0()
+                else:
+                    raise UnsupportedRealizationError("d0 is not defined in this realization")
+            return v
+        return value
+
     def atom(self):
         tok = self.peek()
+        one = self.one
         if tok[0] == "INT":
-            value = Fraction(self.literal()[0])
+            number = Fraction(self.literal()[0])
             if self.peek()[0] == "/":
                 self.take()
                 den, at = self.literal()
                 if den == 0:
                     raise ExprSyntaxError("zero denominator", at)
-                value = value / den
-            return Num(value)
+                number = number / den
+            return lambda: one * number
         if tok[0] == "(":
             return self.group()
         if tok[0] == "IDENT":
             self.take()
             name = tok[1]
             if name == "e":
-                return UnitE()
+                return lambda: one
             if name in ("D", "D0"):
-                power = self.power() if self.peek()[0] == "^" else 1
-                return DApp(name, power, self.group())
-            star = False
-            if self.peek()[0] == "STAR":
+                return self.derivation(name)
+            star = self.peek()[0] == "STAR"
+            if star:
                 self.take()
-                star = True
-            if self.generators is not None and name not in self.generators:
+            if name not in self.env:
                 raise UndeclaredGeneratorError(
                     f"generator {name!r} is not declared (declared: "
-                    f"{', '.join(sorted(self.generators)) or 'none'})"
+                    f"{', '.join(sorted(self.env)) or 'none'})"
                 )
-            return GenRef(name, star)
+            generator = self.env[name]
+            return (lambda: generator.star()) if star else (lambda: generator)
         raise ExprSyntaxError(f"expected a factor, found {tok[1] or 'end of input'!r}", tok[2])
-
-
-def parse_expr(text: str, generators=None):
-    """Parse expression text into an AST; validates generator names if given."""
-    return _Parser(text, generators).parse()
-
-
-# -- evaluation ----------------------------------------------------------------
-
-
-def evaluate(node, env, one):
-    """Evaluate an AST against name bindings and the ring unit."""
-    if isinstance(node, Num):
-        return one * node.value
-    if isinstance(node, UnitE):
-        return one
-    if isinstance(node, GenRef):
-        try:
-            value = env[node.name]
-        except KeyError:
-            raise UndeclaredGeneratorError(f"generator {node.name!r} is not bound") from None
-        return value.star() if node.star else value
-    if isinstance(node, DApp):
-        value = evaluate(node.inner, env, one)
-        for _ in range(node.power):
-            if node.which == "D":
-                value = value.d()
-            else:
-                if not hasattr(value, "d0"):
-                    raise UnsupportedRealizationError("d0 is not defined in this realization")
-                value = value.d0()
-        return value
-    if isinstance(node, PowNode):
-        # binary powering: powers of one element commute, so this is exact
-        base = evaluate(node.base, env, one)
-        value, k = one, node.exponent
-        while k:
-            if k & 1:
-                value = value * base
-            k >>= 1
-            if k:
-                base = base * base
-        return value
-    if isinstance(node, Product):
-        value = evaluate(node.factors[0], env, one)
-        for factor in node.factors[1:]:
-            value = value * evaluate(factor, env, one)
-        return value
-    if isinstance(node, Sum):
-        value = None
-        for sign, term in node.terms:
-            piece = evaluate(term, env, one)
-            if sign < 0:
-                piece = -piece
-            value = piece if value is None else value + piece
-        return value
-    raise TypeError(f"unknown AST node {type(node).__name__}")
 
 
 def parse_element(text: str, env, one):
     """Parse and evaluate expression text; the names bound in ``env`` are its
-    generators."""
-    return evaluate(parse_expr(text, env), env, one)
+    generators.  The whole text is parsed before any ring operation."""
+    return _Parser(text, env, one).parse()()
 
 
 # -- file formats ----------------------------------------------------------------

@@ -249,3 +249,28 @@ def test_precision_consumption_in_apply():
     phi = MatrixJet.scalar(random_jet(random.Random(9), 4))
     image = op.apply(phi)
     assert image.x_order == 2
+
+
+def test_zero_operator_applies_to_the_zero_of_phis_kind_and_orders(ring, s):
+    assert DiffOperator([], ring).apply(s) == ring.zero
+    for phi in (MatrixJet([[BiJet([[1, 2], [3]], 3, 2)]]), MatrixJet.scalar(x_jet(5)),
+                MatrixJet([[Jet([1, 2]), Jet([3], 4)], [Jet([0]), BiJet([[1, 1]], None, 3)]])):
+        image = DiffOperator([], phi.realization).apply(phi)
+        nonzero = DiffOperator([phi.one_like()], phi.realization).apply(phi)
+        assert image.is_zero()
+        assert (image.kind, image.x_order, image.t_order) == (phi.kind, phi.x_order, phi.t_order)
+        assert (image.kind, image.x_order, image.t_order) == (
+            nonzero.kind, nonzero.x_order, nonzero.t_order)
+
+
+def test_negation(ring, s):
+    rng = random.Random(11)
+    a = random_free_operator(rng, ring)
+    assert -a == DiffOperator([-c for c in a.coeffs], ring)
+    assert (a + -a).is_zero()
+    assert -(-a) == a
+    assert -DiffOperator([], ring) == DiffOperator([], ring)
+    m = random_matrix_jet(rng, 2, 5)
+    op = DiffOperator([m, m * m], m.realization)
+    assert (-op).coeffs == (-m, -(m * m))
+    assert (op + -op).is_zero()

@@ -3,6 +3,8 @@
 import random
 import string
 from fractions import Fraction as F
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -19,20 +21,13 @@ from bellops import (
     UndeclaredGeneratorError,
     UnsupportedRealizationError,
     d_power_operator,
+    x_jet,
 )
 from bellops.parsing import (
     MAX_POWER,
-    DApp,
-    GenRef,
-    Num,
-    PowNode,
-    Product,
-    Sum,
-    UnitE,
     _tokenize,
     parse_element,
     parse_entry_text,
-    parse_expr,
     parse_operator_text,
 )
 
@@ -46,15 +41,111 @@ def parse(text):
     return parse_element(text, ENV, RING.one)
 
 
-def test_ast_shapes():
-    assert parse_expr("s^2 + D(s)") == Sum(
-        ((1, PowNode(GenRef("s"), 2)), (1, DApp("D", 1, GenRef("s"))))
+# -- an independent evaluator over expression trees ---------------------------------
+#
+# A tree is ("num", n, d) | ("e",) | ("gen", name, star) | ("sum", ((sign, tree), ...))
+# | ("prod", (tree, ...)) | ("pow", tree, k) | ("d", "D" or "D0", k, tree).
+
+
+def oracle(tree):
+    """The value of a tree, computed with FreeElement operations alone."""
+    kind = tree[0]
+    if kind == "num":
+        return F(tree[1], tree[2]) * RING.one
+    if kind == "e":
+        return RING.one
+    if kind == "gen":
+        return RING.gen(tree[1], star=tree[2])
+    if kind == "sum":
+        total = RING.zero
+        for sign, term in tree[1]:
+            total = total + oracle(term) if sign > 0 else total - oracle(term)
+        return total
+    if kind == "prod":
+        return reduce(mul, map(oracle, tree[1]))
+    if kind == "pow":
+        return reduce(mul, [oracle(tree[1])] * tree[2], RING.one)
+    value = oracle(tree[3])
+    for _ in range(tree[2]):
+        value = value.d() if tree[1] == "D" else value.d0()
+    return value
+
+
+# binding strength of each tree kind, and the strength each child position needs
+_STRENGTH = {"sum": 0, "prod": 1, "pow": 2}
+
+
+def render(tree, rng, needs=0):
+    """Tree to text with random spacing and redundant parentheses."""
+    kind = tree[0]
+    if kind == "num":
+        tokens = [str(tree[1])]
+        if tree[2] != 1 or rng.random() < 0.5:
+            tokens += ["/", str(tree[2])]
+    elif kind == "e":
+        tokens = ["e"]
+    elif kind == "gen":
+        tokens = [tree[1]] + (["*'"] if tree[2] else [])
+    elif kind == "sum":
+        tokens = []
+        for i, (sign, term) in enumerate(tree[1]):
+            if sign < 0 or i:
+                tokens.append("-" if sign < 0 else "+")
+            tokens.append(render(term, rng, 1))
+    elif kind == "prod":
+        tokens = [render(tree[1][0], rng, 2)]
+        for factor in tree[1][1:]:
+            tokens += ["*", render(factor, rng, 2)]
+    elif kind == "pow":
+        tokens = [render(tree[1], rng, 3), "^", str(tree[2])]
+    else:
+        tokens = [tree[1]] + (["^", str(tree[2])] if tree[2] != 1 or rng.random() < 0.5 else [])
+        tokens += ["(", render(tree[3], rng), ")"]
+    if _STRENGTH.get(kind, 3) < needs or rng.random() < 0.15:
+        tokens = ["(", *tokens, ")"]
+    return "".join(rng.choice(["", "", " ", "  ", "\t", "\n"]) + t for t in tokens)
+
+
+_LEAVES = st.one_of(  # half generators, half constants
+    st.builds(lambda g, star: ("gen", g, star), st.sampled_from(["s", "u"]), st.booleans()),
+    st.one_of(st.builds(lambda n, d: ("num", n, d), st.integers(0, 30), st.integers(1, 6)),
+              st.just(("e",))),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(lambda terms: ("sum", tuple(terms)),
+                  st.lists(st.tuples(st.sampled_from([1, -1]), children), min_size=1, max_size=3)),
+        st.builds(lambda fs: ("prod", tuple(fs)), st.lists(children, min_size=2, max_size=3)),
+        st.builds(lambda b, k: ("pow", b, k), children, st.integers(0, 3)),
+        st.builds(lambda w, k, t: ("d", w, k, t), st.sampled_from(["D", "D0"]),
+                  st.integers(0, 2), children),
     )
-    assert parse_expr("2*D(s)*s") == Product((Num(F(2)), DApp("D", 1, GenRef("s")), GenRef("s")))
-    assert parse_expr("e") == UnitE()
-    assert parse_expr("s*'") == GenRef("s", star=True)
-    assert parse_expr("D0(s)") == DApp("D0", 1, GenRef("s"))
-    assert parse_expr("1/2") == Num(F(1, 2))
+
+
+_TREES = st.recursive(_LEAVES, _extend, max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES, st.randoms(use_true_random=False))
+def test_parse_element_matches_the_tree_evaluated_directly(tree, rng):
+    text = render(tree, rng)
+    assert parse(text) == oracle(tree), text
+
+
+def test_precedence_gives_the_tree_shapes():
+    s, ds = ("gen", "s", False), ("d", "D", 1, ("gen", "s", False))
+    # one ordered product of three factors, not 2*D(s*s) or (2*s)*D(s)
+    assert parse("2*D(s)*s") == oracle(("prod", (("num", 2, 1), ds, s)))
+    # a sum of a power and a derivative, not s^(2 + D(s)) or D applied to the sum
+    assert parse("s^2 + D(s)") == oracle(("sum", ((1, ("pow", s, 2)), (1, ds))))
+    assert parse("1/2^2") == oracle(("pow", ("num", 1, 2), 2))
+    assert parse("s*'^2") == oracle(("pow", ("gen", "s", True), 2))
+    # the leading minus takes the first term only, not the whole sum
+    assert parse("-s + u") == oracle(("sum", ((-1, s), (1, ("gen", "u", False)))))
+    assert parse("e") == RING.one
+    assert parse("1/2") == F(1, 2) * RING.one
 
 
 def test_ordered_products_stay_distinct():
@@ -77,39 +168,109 @@ def test_basic_evaluation():
     assert parse("D0(s)") == s.d0()
 
 
+QRING = FreeRing(("q", "s", "u"))
+QENV = {g: QRING.gen(g) for g in QRING.generators}
+
+
+def refusal(text, env=QENV, one=QRING.one):
+    """The error that parsing ``text`` against ``env`` raises."""
+    with pytest.raises((ExprSyntaxError, UndeclaredGeneratorError)) as err:
+        parse_element(text, env, one)
+    return err.value
+
+
+# (text, message, offset); the last three come after one of every grammar form
+POSITION_ERRORS = [
+    ("D^2(q", "expected ), found 'end of input'", 5),
+    ("s +", "expected a factor, found 'end of input'", 3),
+    ("s ? u", "unexpected character '?'", 2),
+    ("", "expected a factor, found 'end of input'", 0),
+    ("s )", "unexpected trailing ')'", 2),
+    ("2*s*' - D^2(u)^3 + 1/2 )", "unexpected trailing ')'", 23),
+    ("(s + u)*e ?", "unexpected character '?'", 10),
+    ("-D0(s) + e*s^2 +", "expected a factor, found 'end of input'", 16),
+]
+NESTING_ERRORS = [
+    ("s + " + "(" * 101 + "s" + ")" * 101, "parentheses nested deeper than 100", 104),
+    ("(" * 50 + "D(" * 51 + "s" + ")" * 101, "parentheses nested deeper than 100", 151),
+]
+POWER_ERRORS = [
+    ("s^1001", "exponent larger than 1000", 2),
+    ("u + D^1001(s)", "exponent larger than 1000", 6),
+    ("D0^99999999(s)", "exponent larger than 1000", 3),
+    ("(s)^" + "9" * 5000, "exponent larger than 1000", 4),
+]
+LITERAL_ERRORS = [
+    ("1" * 1001, "numeric literal longer than 1000 digits", 0),
+    ("s + 2/0", "zero denominator", 6),
+]
+UNDECLARED = [  # (text, env, one, message)
+    ("q + s", {"s": QENV["s"]}, QRING.one, "generator 'q' is not declared (declared: s)"),
+    ("q", ENV, RING.one, "generator 'q' is not declared (declared: a0, a1, a2, a3, a4, s, u)"),
+    ("D^2(q", ENV, RING.one,
+     "generator 'q' is not declared (declared: a0, a1, a2, a3, a4, s, u)"),
+    ("3*s^2 - D(s) + w", QENV, QRING.one, "generator 'w' is not declared (declared: q, s, u)"),
+    ("y", {"x": x_jet(8)}, Jet((1,), 8), "generator 'y' is not declared (declared: x)"),
+]
+
+
+def assert_syntax_errors(cases):
+    for text, message, offset in cases:
+        err = refusal(text)
+        assert type(err) is ExprSyntaxError
+        assert (str(err), err.position) == (f"{message} (at offset {offset})", offset)
+
+
 def test_syntax_error_position():
-    with pytest.raises(ExprSyntaxError) as err:
-        parse_expr("D^2(q")
-    assert err.value.position == 5
-    with pytest.raises(ExprSyntaxError):
-        parse_expr("s +")
-    with pytest.raises(ExprSyntaxError):
-        parse_expr("s ? u")
-    with pytest.raises(ExprSyntaxError):
-        parse_expr("")
+    assert_syntax_errors(POSITION_ERRORS)
 
 
 def test_nesting_limit():
     assert parse("(" * 100 + "s" + ")" * 100) == parse("s")
     assert parse("D(" * 100 + "s" + ")" * 100) == parse("D^100(s)")
-    with pytest.raises(ExprSyntaxError) as err:
-        parse_expr("s + " + "(" * 101 + "s" + ")" * 101)
-    assert err.value.position == 104
-    with pytest.raises(ExprSyntaxError) as err:
-        parse_expr("(" * 50 + "D(" * 51 + "s" + ")" * 101)
-    assert err.value.position == 151
+    assert_syntax_errors(NESTING_ERRORS)
 
 
 def test_power_limit():
     assert MAX_POWER == 1000
-    assert parse_expr("s^1000") == PowNode(GenRef("s"), 1000)
-    assert parse_expr("D^0001000(s)") == DApp("D", 1000, GenRef("s"))
-    for text, offset in (("s^1001", 2), ("u + D^1001(s)", 6), ("D0^99999999(s)", 3),
-                         ("(s)^" + "9" * 5000, 4)):
-        with pytest.raises(ExprSyntaxError) as err:
-            parse_expr(text)
-        assert err.value.position == offset
-        assert "exponent larger than 1000" in str(err.value)
+    s = ("gen", "s", False)
+    assert parse("s^1000") == oracle(("pow", s, 1000))
+    assert parse("D^0001000(s)") == oracle(("d", "D", 1000, s))
+    assert_syntax_errors(POWER_ERRORS)
+
+
+def test_literal_limits():
+    assert_syntax_errors(LITERAL_ERRORS)
+
+
+class Untouchable:
+    """A stand-in ring element on which every operation and attribute raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"ring work before the parse ended: .{name}")
+
+    def _touched(self, *args):
+        raise AssertionError("ring work before the parse ended: arithmetic")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __neg__ = _touched
+    __truediv__ = __pow__ = __eq__ = __bool__ = _touched
+    __hash__ = object.__hash__
+
+
+def test_every_refusal_comes_before_any_ring_work():
+    syntax_errors = POSITION_ERRORS + NESTING_ERRORS + POWER_ERRORS + LITERAL_ERRORS
+    cases = [(text, QENV, QRING.one) for text, _, _ in syntax_errors]
+    for text, env, one in cases + [case[:3] for case in UNDECLARED]:
+        expected = refusal(text, env, one)
+        untouchable = {name: Untouchable() for name in env}
+        with pytest.raises(type(expected)) as err:
+            parse_element(text, untouchable, Untouchable())
+        assert type(err.value) is type(expected)
+        assert str(err.value) == str(expected)
+        assert getattr(err.value, "position", None) == getattr(expected, "position", None)
+    # the stand-ins do catch ring work: a text that parses reaches them
+    with pytest.raises(AssertionError, match="ring work"):
+        parse_element("s + 1", {"s": Untouchable()}, Untouchable())
 
 
 def test_binary_powering_matches_repeated_products():
@@ -124,10 +285,10 @@ def test_binary_powering_matches_repeated_products():
 
 
 def test_undeclared_generator():
-    with pytest.raises(UndeclaredGeneratorError):
-        parse_expr("q + s", generators={"s"})
-    with pytest.raises(UndeclaredGeneratorError):
-        parse("q")
+    for text, env, one, message in UNDECLARED:
+        err = refusal(text, env, one)
+        assert (type(err), str(err)) == (UndeclaredGeneratorError, message)
+    assert parse_element("D^2(q)", {"q": QRING.gen("q")}, QRING.one) == QRING.gen("q").d().d()
 
 
 def test_whitespace_insensitive():

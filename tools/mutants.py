@@ -136,6 +136,12 @@ MUTANTS = [
      "return e[t][k] if t < len(e) and k < len(e[t]) else 0", "return e[t][k]"),
     ("tokenizer: operator tokens given the kind OP", "parsing.py",
      '(token if kind == "OP" else kind, token,', "(kind, token,"),
+    ("parser: negative sum term added with its sign dropped", "parsing.py",
+     "if sign < 0:", "if False:"),
+    ("parser: binary powering skips the last squaring", "parsing.py",
+     "if k:\n                    b = b * b", "if k > 1:\n                    b = b * b"),
+    ("parser: D0 applied as D", "parsing.py",
+     "v = v.d0()", "v = v.d()"),
 ]
 
 
