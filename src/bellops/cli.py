@@ -3,9 +3,11 @@
 Global options pick the ring realization and output mode; subcommands dispatch
 to the kernel and return an unrendered :class:`Result`, which :func:`render`
 prints as text or JSON, each coefficient read from the numerator grid (``nums``
-over ``den``) in lowest terms.  Exit codes: 0 success, 1 domain error (bad input
-data, failed verification), 2 usage error.  Results go to stdout, diagnostics
-to stderr.
+over ``den``) in lowest terms.  JSON is written in one pass by
+:func:`json_text`, with the bytes ``json.dumps`` prints for the documented
+shape; a free element encodes each of its distinct letters once.  Exit codes:
+0 success, 1 domain error (bad input data, failed verification), 2 usage
+error.  Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .bell import BellTable
 from .darboux import burgers_rhs, darboux_transform, matveev_verify, time_propagate
 from .division import divide_left, divide_right, riccati_residual
 from .errors import KernelError
-from .free import FreeElement, FreeRing, Letter, ratio_text
+from .free import FreeElement, FreeRing, ratio_text
 from .jets import MatrixJet, MatrixRealization, x_jet
 from .operators import DiffOperator
 from .parsing import MAX_POWER, parse_element, parse_entry_text, parse_operator_text
@@ -91,7 +93,7 @@ class Result(NamedTuple):
 
     ``payload`` is what ``--output json`` prints; ``fields`` are the
     ``(label, value)`` pairs text mode prints, a ``None`` label printing the
-    value bare; ``code`` is the exit code.
+    value bare, each value formatted only then; ``code`` is the exit code.
     """
 
     payload: object
@@ -152,15 +154,8 @@ def text_lines(label, value):
     return block if label is None else [f"{label}:"] + ["  " + line for line in block]
 
 
-def element_json(value):
-    if isinstance(value, FreeElement):
-        letters = value.letters(Letter._asdict)  # {"gen", "star", "d0", "d"}
-        return {
-            "terms": [
-                {"coeff": ratio_text(num, value.den), "word": list(map(letters.__getitem__, word))}
-                for _, word, num in value.coded_terms()
-            ]
-        }
+def element_json(value: MatrixJet):
+    """The JSON tree of a matrix."""
     out = {
         "dim": value.dim,
         "kind": value.kind,
@@ -189,24 +184,44 @@ def element_json(value):
     return out
 
 
-def operator_json(op: DiffOperator):
-    return {"order": op.order, "coeffs": [element_json(op.coeff(k)) for k in range(op.order + 1)]}
+def operator_json(op: DiffOperator, element=element_json):
+    """``{"order", "coeffs"}``, the coefficients from ``a[0]`` up through
+    ``element``: JSON trees of matrices by default, unrendered for :func:`json_text`."""
+    return {"order": op.order, "coeffs": [element(op.coeff(k)) for k in range(op.order + 1)]}
 
 
-def to_json(value):
+def free_json(value: FreeElement) -> str:
+    """``{"terms": [{"coeff", "word": [{"gen", "star", "d0", "d"}]}]}`` as JSON
+    text, each distinct letter and numerator encoded once; a coefficient's
+    characters (digits, ``-``, ``/``) need no escape."""
+    letter = value.letters(lambda letter: json.dumps(letter._asdict())).__getitem__
+    coeffs = {num: ratio_text(num, value.den) for num in set(value.nums.values())}
+    terms = [f'{{"coeff": "{coeffs[num]}", "word": [{", ".join(map(letter, word))}]}}'
+             for _, word, num in value.coded_terms()]
+    return '{"terms": [' + ", ".join(terms) + "]}"
+
+
+def json_text(value) -> str:
+    """The text ``json.dumps`` prints for the JSON shape of ``value`` (a payload
+    of dicts, lists, scalars, operators and elements), written in one pass."""
     if isinstance(value, dict):
-        return {key: to_json(v) for key, v in value.items()}
+        return "{" + ", ".join(json.dumps(key) + ": " + json_text(v)
+                               for key, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(json_text, value)) + "]"
     if isinstance(value, DiffOperator):
-        return operator_json(value)
-    if isinstance(value, (FreeElement, MatrixJet)):
-        return element_json(value)
-    return value
+        return json_text(operator_json(value, element=lambda c: c))
+    if isinstance(value, FreeElement):
+        return free_json(value)
+    if isinstance(value, MatrixJet):
+        return json.dumps(element_json(value))
+    return json.dumps(value)
 
 
 def render(result: Result, output: str, out) -> int:
     """Print a result in the chosen output mode; returns its exit code."""
     if output == "json":
-        print(json.dumps(to_json(result.payload)), file=out)
+        print(json_text(result.payload), file=out)
     else:
         for label, value in result.fields:
             for line in text_lines(label, value):
@@ -214,9 +229,15 @@ def render(result: Result, output: str, out) -> int:
     return result.code
 
 
-def coefficient_list_line(op: DiffOperator) -> str:
-    parts = [f"a[{k}]={op.coeff(k)}" for k in range(op.order, -1, -1)]
-    return ", ".join(parts)
+class CoefficientList(NamedTuple):
+    """An operator as the text line ``a[N]=..., ..., a[0]=...``, formatted only
+    when printed."""
+
+    op: DiffOperator
+
+    def __str__(self) -> str:
+        op = self.op
+        return ", ".join(f"a[{k}]={op.coeff(k)}" for k in range(op.order, -1, -1))
 
 
 # -- commands ------------------------------------------------------------------------
@@ -260,7 +281,7 @@ def cmd_darboux(session: Session, args) -> Result:
     payload = {"transformed": outcome.transformed, "remainder": outcome.remainder,
                "defect": outcome.intertwine_defect, "burgers": outcome.burgers_rhs}
     if isinstance(outcome.remainder, FreeElement):
-        transformed = (None, coefficient_list_line(outcome.transformed))
+        transformed = (None, CoefficientList(outcome.transformed))
     else:
         transformed = ("transformed", outcome.transformed)
     return Result(payload, [transformed, ("burgers", outcome.burgers_rhs)])

@@ -36,6 +36,7 @@ import operator
 from operator import attrgetter, methodcaller
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -325,8 +326,8 @@ def _flat(nums, nx: Optional[int], nt: Optional[int], stride: int) -> list:
             for j, lv in enumerate(e[1:nt], 1):
                 cs += [0] * (j * stride - len(cs))
                 cs += lv[:nx]
-            while cs and not cs[-1]:
-                cs.pop()
+            if cs and not cs[-1]:  # most entries end nonzero; else cut once, from the end
+                del cs[next(compress(range(len(cs), 0, -1), reversed(cs)), 0):]
             flat[-1].append(cs)
     return flat
 

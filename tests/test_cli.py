@@ -14,8 +14,10 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import bellops
-from bellops import BiJet, Jet, MatrixJet, darboux
-from bellops.cli import element_json, matrix_lines, run_command
+from bellops import (BellTable, BiJet, DiffOperator, FreeElement, FreeRing, Jet, Letter, MatrixJet,
+                     burgers_rhs, darboux, darboux_transform, divide_left, divide_right,
+                     riccati_residual)
+from bellops.cli import element_json, json_text, matrix_lines, run_command
 from bellops.free import ratio_text
 
 
@@ -618,6 +620,118 @@ def _entry_json(m):
 def test_matrices_print_as_their_entries_read(m):
     assert matrix_lines(m) == _entry_lines(m)
     assert element_json(m) == _entry_json(m)
+    assert json_text(m) == json.dumps(_entry_json(m))
+
+
+# -- the JSON writer against json.dumps of an oracle tree ----------------------------
+
+
+def _oracle(value):
+    """The documented JSON shape of a free element or operator, built from
+    ``terms()``, ``Letter._asdict()`` and ``str(Fraction)``."""
+    if isinstance(value, DiffOperator):
+        return {"order": value.order,
+                "coeffs": [_oracle(value.coeff(k)) for k in range(value.order + 1)]}
+    if isinstance(value, dict):
+        return {key: _oracle(v) for key, v in value.items()}
+    if isinstance(value, FreeElement):
+        return {"terms": [{"coeff": str(c), "word": [letter._asdict() for letter in word]}
+                          for word, c in value.terms()]}
+    return value
+
+
+def _at_lowest_digit_limit(fn, *args):
+    """``fn(*args)`` with the interpreter's integer digit limit at its lowest,
+    640 digits, where it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return fn(*args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        return fn(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _free_elements(ring, coefficients, max_terms, max_len):
+    letters = st.builds(Letter, st.sampled_from(ring.generators), st.booleans(),
+                        st.integers(0, 1), st.integers(0, 2))
+    words = st.lists(letters, max_size=max_len).map(tuple)
+    return st.dictionaries(words, st.sampled_from(coefficients), max_size=max_terms).map(
+        lambda terms: FreeElement(ring, terms))
+
+
+# a non-ASCII generator, which json.dumps escapes; numerators past 640 digits
+_WIDE_RING = FreeRing(("s", "u", "\u03b1"))
+_WIDE_ELEMENTS = _free_elements(
+    _WIDE_RING, [1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 6), 10**700 + 1,
+                 Fraction(-(10**700) - 3, 7), Fraction(9, 10**650 + 1)], 5, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_WIDE_ELEMENTS, b=_WIDE_ELEMENTS)
+def test_json_text_is_json_dumps_of_the_oracle_tree(a, b):
+    ring = _WIDE_RING
+    values = [a, ring.zero, ring.one, a - a, DiffOperator([], ring),
+              DiffOperator([a, ring.zero, b], ring), {"side": "left", "quotient": a,
+                                                      "exact": a.is_zero(), "order": None}]
+    for value in values:
+        expected = json.dumps(_oracle(value))
+        assert _at_lowest_digit_limit(json_text, value) == expected
+    assert json_text(ring.zero) == '{"terms": []}'
+    assert json_text(ring.one) == '{"terms": [{"coeff": "1", "word": []}]}'
+
+
+_CLI_RING = FreeRing(("s", "u"))
+_CLI_ELEMENTS = _free_elements(_CLI_RING, [1, -1, 2, Fraction(1, 2), Fraction(-2, 3)], 2, 2)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(s=_CLI_ELEMENTS, coeffs=st.lists(_CLI_ELEMENTS, min_size=2, max_size=3),
+       n=st.integers(0, 4))
+def test_command_payloads_print_as_json_dumps_of_the_oracle(s, coeffs, n, tmp_path_factory):
+    ring = _CLI_RING
+    coeffs[-1] = coeffs[-1] or ring.one
+    L = DiffOperator(coeffs, ring)
+    path = tmp_path_factory.getbasetemp() / "payload.op"
+    path.write_text(L.to_file_text())
+    table = BellTable(s)
+    transform = darboux_transform(L, s)
+    expected = [
+        (["bell", "--side", "left", "--n", str(n)], table.left(n)),
+        (["bell", "--side", "right", "--n", str(n)], table.right(n)),
+        (["bell", "--side", "gen", "--n", str(n), "--k", str(n // 2)], table.gen(n, n // 2)),
+        (["burgers", str(path)], {"burgers": burgers_rhs(L, s)}),
+        (["darboux", str(path)], {"transformed": transform.transformed,
+                                  "remainder": transform.remainder,
+                                  "defect": transform.intertwine_defect,
+                                  "burgers": transform.burgers_rhs}),
+    ]
+    for side, divide in (("right", divide_right), ("left", divide_left)):
+        outcome = divide(L, s)
+        residual = riccati_residual(L, s, side)
+        expected += [
+            (["divide", "--side", side, str(path)],
+             {"side": side, "quotient": outcome.quotient, "remainder": outcome.remainder,
+              "exact": outcome.exact}),
+            (["factor-check", "--side", side, str(path)],
+             {"side": side, "residual": residual, "exact": residual.is_zero()}),
+        ]
+    for argv, value in expected:
+        argv = ["--output", "json", "--gens", "s,u"] + argv + ["--s=" + str(s)]
+        assert run(argv) == (0, json.dumps(_oracle(value)) + "\n", "")
+
+
+def test_json_output_formats_no_text(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("text formatted under --output json")
+
+    monkeypatch.setattr(FreeElement, "to_text", refuse)
+    monkeypatch.setattr(FreeElement, "signed_text", refuse)
+    for argv in (["darboux", "d2.op"], ["divide", "--side", "left", "d2.op"],
+                 ["factor-check", "--side", "right", "d2.op"], ["burgers", "d2.op"]):
+        code, out, err = run(["--output", "json"] + argv, D2_FILE, tmp_path)
+        assert (code, err) == (0, "") and json.loads(out)
 
 
 # -- fuzzing the command line --------------------------------------------------

@@ -132,6 +132,12 @@ MUTANTS = [
      "        if not (formula.coeff(k) == oracle.coeff(k)):", "        if False:"),
     ("transformed_coefficients: first pair (a_k, B_(k,0)) dropped", "darboux.py",
      "        yield L.coeff(k), table.gen(k, 0)\n", ""),
+    ("JSON word: every letter written as the word's first", "cli.py",
+     '{", ".join(map(letter, word))}', '{", ".join(letter(word[0]) for _ in word)}'),
+    ("JSON word: letters separated by ',' for ', '", "cli.py",
+     '{", ".join(map(letter, word))}', '{",".join(map(letter, word))}'),
+    ("JSON letter: non-ASCII names not escaped", "cli.py",
+     "json.dumps(letter._asdict())", "json.dumps(letter._asdict(), ensure_ascii=False)"),
     ("printer: zero fill past a short level dropped", "cli.py",
      "return e[t][k] if t < len(e) and k < len(e[t]) else 0", "return e[t][k]"),
     ("tokenizer: operator tokens given the kind OP", "parsing.py",
