@@ -10,10 +10,16 @@ with few nonzero coefficients for their width are convolved term by term
 (:func:`_schoolbook`).  The others use Kronecker substitution: each operand
 entry is one big integer, one slot per coefficient (:func:`pack_grid`, at the
 width :func:`slot_bytes` gives), the K products for an output entry are summed
-as integers, and the sum is unpacked once (:func:`packed_matmul`).  A packed
-entry depends only on its coefficients and the slot width, so a caller that
-keeps its packs can reuse them in every product that needs that width;
-:mod:`bellops.jets` keeps them on each matrix.
+as integers, and the sum is unpacked once (:func:`packed_matmul`).  Slots
+rounded up to a machine word go through signed ``array`` words in both
+directions, with no Python loop per coefficient: a pack writes the
+coefficients in two's complement and corrects the whole integer by one xor
+with the half-slot bias and one subtraction (:func:`_pack`); an unpack adds
+the bias, masks, xors it back and reads the words as signed values
+(:func:`_unpack`).  Wider slots use the same bias formula, a slot at a time.
+A packed entry depends only on its coefficients and the slot width, so a
+caller that keeps its packs can reuse them in every product that needs that
+width; :mod:`bellops.jets` keeps them on each matrix.
 """
 
 from __future__ import annotations
@@ -60,8 +66,8 @@ def _schoolbook(a, b, n: int, low: int) -> list:
     return out
 
 
-# array type codes of the machine words a slot width may round up to
-_WORDS = {array(code).itemsize: code for code in "BHIQ"}
+# signed array type codes of the machine words a slot width may round up to
+_WORDS = {array(code).itemsize: code for code in "bhiq"}
 
 
 def slot_bytes(bits: int, inner: int, la: int, lb: int) -> int:
@@ -76,35 +82,44 @@ def slot_bytes(bits: int, inner: int, la: int, lb: int) -> int:
     return min([w for w in _WORDS if w >= nb] or [nb])
 
 
+def _bias(n: int, nb: int) -> int:
+    """Half a slot in each of ``n`` slots of ``nb`` bytes: ``sum_k 2^(8 nb k + 8 nb - 1)``."""
+    return int.from_bytes((b"\0" * (nb - 1) + b"\x80") * n, "little")
+
+
 def _pack(cs: Sequence[int], nb: int) -> int:
-    """``sum_k cs[k] 2^(8 nb k)``; biased by half a slot, signed coefficients
-    pack as plain little-endian bytes."""
-    h, half = 1 << (8 * nb - 1), b"\0" * (nb - 1) + b"\x80"
+    """``sum_k cs[k] 2^(8 nb k)`` for coefficients less than half a slot in
+    absolute value.  Written as signed words (two's complement), the bytes read
+    as ``U``, each slot ``cs[k]`` modulo a slot; xor with the half-slot bias
+    ``B`` turns each slot into ``cs[k] + half`` without a carry, so the sum is
+    ``(U ^ B) - B``."""
     if nb in _WORDS:
-        words = array(_WORDS[nb], [c + h for c in cs])
+        words = array(_WORDS[nb], cs)
         if sys.byteorder == "big":
             words.byteswap()
         data = words.tobytes()
     else:
-        data = b"".join([(c + h).to_bytes(nb, "little") for c in cs])
-    return int.from_bytes(data, "little") - int.from_bytes(half * len(cs), "little")
+        data = b"".join([c.to_bytes(nb, "little", signed=True) for c in cs])
+    bias = _bias(len(cs), nb)
+    return (int.from_bytes(data, "little") ^ bias) - bias
 
 
 def _unpack(v: int, n: int, nb: int, low: int) -> list:
     """Slots ``low`` to ``n - 1`` of ``v``, signed ``nb``-byte slots each less than
-    half a slot in absolute value; biased by half a slot, they read as plain
-    bytes, and no slot below ``low`` borrows from the next, so the shift down by
-    ``low`` slots is exact.  Slots from ``n`` up are masked off, whatever they hold."""
-    h, half = 1 << (8 * nb - 1), b"\0" * (nb - 1) + b"\x80"
-    v = (v + int.from_bytes(half * n, "little")) >> (8 * nb * low)
-    n -= low
-    data = (v & ((1 << (8 * nb * n)) - 1)).to_bytes(nb * n, "little")
+    half a slot in absolute value.  Plus the half-slot bias ``B``, every slot holds
+    its value plus half a slot, and no slot borrows from the next; masked to
+    ``n`` slots (slots from ``n`` up are dropped, whatever they hold) and xored
+    with ``B``, each slot is its value modulo a slot, which reads back as a
+    signed word.  The shift down by ``low`` slots drops whole slots."""
+    bias = _bias(n, nb)
+    v = (((v + bias) & ((1 << (8 * nb * n)) - 1)) ^ bias) >> (8 * nb * low)
+    data = v.to_bytes(nb * (n - low), "little")
     if nb in _WORDS:
         words = array(_WORDS[nb], data)
         if sys.byteorder == "big":
             words.byteswap()
-        return [w - h for w in words]
-    return [int.from_bytes(data[k:k + nb], "little") - h for k in range(0, nb * n, nb)]
+        return words.tolist()
+    return [int.from_bytes(data[k:k + nb], "little", signed=True) for k in range(0, len(data), nb)]
 
 
 def pack_grid(grid, nb: int) -> list:

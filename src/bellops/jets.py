@@ -15,10 +15,14 @@ never mutated, so a matrix measures its grid once (:meth:`MatrixJet._statistics`
 and keeps each packing of its cells (:meth:`MatrixJet._packed`) for every later
 product with the same slot width and layout; a product of jets cuts nothing, so
 there a jet's pack depends on the slot width alone; a sum of jet products
-may cut its first coefficients off (a middle product).  Inversion is Newton
-iteration in x from a fraction-free inverse of the constant term, each step
-forming only the coefficients not yet known, then a recurrence over the
-higher t-levels, one sum of products per level.  :func:`log_derivative`
+may cut its first coefficients off (a middle product).  The kernel pays only
+for operands that carry information: a pair with a constant operand ``c I``
+(``L_s``'s leading unit, ``B_0``, the top of each quotient) is not multiplied
+but adds ``c`` times the other operand into the sum, and an exact zero summand
+gives the other operand back as it is, packs and statistics included.
+Inversion is Newton iteration in x from a fraction-free inverse of the
+constant term, each step forming only the coefficients not yet known, then a
+recurrence over the higher t-levels, one sum of products per level.  :func:`log_derivative`
 divides phi' by phi the Karp-Markstein way: it inverts phi only to half the
 x-order, forms the quotient there and corrects it once by its residual, in a
 short product, so no full-order inverse is built.
@@ -354,17 +358,25 @@ def _sum_of_products(pairs: Sequence[tuple], low: int = 0) -> "MatrixJet":
     of two t-levels fits in one stride, so laying t-level j out from slot
     ``j * stride`` makes a bivariate product a univariate one.
 
+    A pair with a constant operand, ``(c / den) I`` of any orders and kind
+    (``c = 0`` too; :meth:`MatrixJet._statistics` tells), is not multiplied:
+    ``f_p c`` times the other operand, laid out at the stride, cut to the kept
+    orders and shifted down by ``low``, is added into the unpacked sum.  Its
+    operands still count for the orders, the kind and ``den``.  The other pairs
+    are multiplied, and only they set K, the way and the slot width; with none,
+    no product is formed.
+
     A product of jets cuts nothing: each jet packs its whole stored level,
     even past the kept order, because output slot k depends only on operand
     slots <= k and only the first ``w`` slots are kept (term by term, only the
     kept coefficients are read).  A product with a bi-jet cuts every operand to
     the kept orders, so that no x-product reaches the next t-level.  The way
-    (packed or term by term) and the slot width come from each operand's grid
-    statistics (:meth:`MatrixJet._statistics`), with ``(f_p - 1).bit_length()``
-    more bits for a scaled left factor; taken over the whole grid, they bound
-    the laid-out part from above, which at most widens a slot.  The packed
-    cells come from each operand's cache (:meth:`MatrixJet._packed`), scaled by
-    ``f_p`` on the left.
+    (packed or term by term) and the slot width come from each multiplied
+    operand's grid statistics, with ``(f_p - 1).bit_length()`` more bits for a
+    scaled left factor; taken over the whole grid, they bound the laid-out
+    part from above, which at most widens a slot (as do the operand spans,
+    taken over every pair).  The packed cells come from each operand's cache
+    (:meth:`MatrixJet._packed`), scaled by ``f_p`` on the left.
     """
     first = pairs[0][0]
     dim = first.dim
@@ -389,23 +401,44 @@ def _sum_of_products(pairs: Sequence[tuple], low: int = 0) -> "MatrixJet":
     lt = ta + tb - 1 if nt is None else min(ta + tb - 1, nt)
     w = stride if nx is None else min(stride, nx)
     n = (lt - 1) * stride + w
-    bits = (max(a._statistics()[2] + (f - 1).bit_length() for a, f in zip(sides[0], scales))
-            + max(b._statistics()[2] for b in sides[1]))
-    inner = len(pairs) * dim
-    per_entry = min(sum(m._statistics()[3] for m in side) for side in sides) / (inner * dim)
-    if prefers_packing(per_entry, dim, bits):
-        nb = slot_bytes(bits, inner, (ta - 1) * stride + la, (tb - 1) * stride + lb)
-        left = [[] for _ in range(dim)]
-        for a, f in zip(sides[0], scales):
-            for row, packed in zip(left, a._packed(nb, cut, nt, stride)):
-                row.extend(packed if f == 1 else [f * v for v in packed])
-        right = [row for b in sides[1] for row in b._packed(nb, cut, nt, stride)]
-        flat = packed_matmul(left, right, n, nb, low)
+    products, constants = [], []
+    for a, b, f in zip(*sides, scales):
+        ca, cb = a._statistics()[4], b._statistics()[4]
+        if ca is not None:
+            constants.append((f * ca, b))
+        elif cb is not None:
+            constants.append((f * cb, a))
+        else:
+            products.append((a, b, f))
+    if not products:
+        flat = [[[0] * (n - low) for _ in range(dim)] for _ in range(dim)]
     else:
-        left = [_scaled(a.nums, f) for a, f in zip(sides[0], scales)]
-        left = [[e for g in left for e in g[i]] for i in range(dim)]
-        right = [row for b in sides[1] for row in b.nums]
-        flat = _schoolbook(_flat(left, nx, nt, stride), _flat(right, nx, nt, stride), n, low)
+        lefts, rights, fs = zip(*products)
+        bits = (max(a._statistics()[2] + (f - 1).bit_length() for a, f in zip(lefts, fs))
+                + max(b._statistics()[2] for b in rights))
+        inner = len(products) * dim
+        per_entry = (min(sum(m._statistics()[3] for m in side) for side in (lefts, rights))
+                     / (inner * dim))
+        if prefers_packing(per_entry, dim, bits):
+            nb = slot_bytes(bits, inner, (ta - 1) * stride + la, (tb - 1) * stride + lb)
+            left = [[] for _ in range(dim)]
+            for a, f in zip(lefts, fs):
+                for row, packed in zip(left, a._packed(nb, cut, nt, stride)):
+                    row.extend(packed if f == 1 else [f * v for v in packed])
+            right = [row for b in rights for row in b._packed(nb, cut, nt, stride)]
+            flat = packed_matmul(left, right, n, nb, low)
+        else:
+            left = [_scaled(a.nums, f) for a, f in zip(lefts, fs)]
+            left = [[e for g in left for e in g[i]] for i in range(dim)]
+            right = [row for b in rights for row in b.nums]
+            flat = _schoolbook(_flat(left, nx, nt, stride), _flat(right, nx, nt, stride), n, low)
+    for k, m in constants:  # k m, laid out as the sum is, added slot by slot
+        if k:
+            for row, cells in zip(flat, _flat(m.nums, nx, nt, stride)):
+                for acc, cs in zip(row, cells):
+                    cs = cs[low:]
+                    end = len(cs)
+                    acc[:end] = map(operator.add, acc[:end], cs if k == 1 else map(k.__mul__, cs))
     nums = [[[cs[j * stride:j * stride + w] for j in range(lt)] for cs in row] for row in flat]
     return MatrixJet._of(kind, nums, den, None if xo is None else xo - low, to)
 
@@ -570,12 +603,21 @@ class MatrixJet:
 
     def _statistics(self) -> tuple:
         """(longest x-level, most t-levels, bit length of the largest |numerator|,
-        nonzero numerators) over the whole grid, measured on first use."""
+        nonzero numerators, ``c`` if the matrix is ``(c / den) I`` else None) over
+        the whole grid, measured on first use."""
         if self._stats is None:
-            levels = [lv for row in self.nums for e in row for lv in e]
+            dim, levels = self.dim, [lv for row in self.nums for e in row for lv in e]
+            nonzero = sum([len(lv) - lv.count(0) for lv in levels])
+            scalar = None
+            if nonzero <= dim:  # c I: nothing past x^0 t^0, c on the diagonal, 0 off it
+                heads = [e[0][0] for row in self.nums for e in row]  # x^0 t^0, row by row
+                c = heads[0]
+                if (nonzero == len(heads) - heads.count(0) and heads[::dim + 1].count(c) == dim
+                        and heads.count(0) == len(heads) - dim * bool(c)):
+                    scalar = c
             self._stats = (max(map(len, levels)), max(len(e) for row in self.nums for e in row),
                            max([max(max(lv), -min(lv)) for lv in levels]).bit_length(),
-                           sum([len(lv) - lv.count(0) for lv in levels]))
+                           nonzero, scalar)
         return self._stats
 
     def _packed(self, nb: int, nx: Optional[int], nt: Optional[int], stride: int) -> list:
@@ -599,9 +641,21 @@ class MatrixJet:
 
     # -- ring operations ---------------------------------------------------------
 
+    def _exact_zero(self) -> bool:
+        """Zero on exact axes: a summand that caps no order."""
+        return self.x_order is None and self.t_order is None and self.is_zero()
+
     def _combine(self, other, op) -> "MatrixJet":
-        """``op`` (add or sub) entry by entry, valid to the smaller orders."""
+        """``op`` (add or sub) entry by entry, valid to the smaller orders.  An
+        exact zero operand caps no order, so ``m + 0``, ``0 + m`` and ``m - 0`` are
+        ``m`` itself, with its packs and statistics, and ``0 - m`` is ``-m``;
+        each promoted when the other operand is a bi-jet."""
         self._pair(other)
+        if other._exact_zero():
+            return self.promote() if other.kind == "bijet" else self
+        if self._exact_zero():
+            m = other if op is operator.add else -other
+            return m.promote() if self.kind == "bijet" else m
         xo, to = _omin(self.x_order, other.x_order), _omin(self.t_order, other.t_order)
         nx = None if xo is None else xo + 1
         nt = None if to is None else to + 1

@@ -27,6 +27,7 @@ from bellops import (
     log_derivative,
     x_jet,
 )
+from bellops import intpoly
 from bellops import jets as jets_module
 from helpers import _model, _model_add, _model_diff, _model_matmul, _model_mul, random_matrix_jet
 
@@ -840,6 +841,144 @@ def test_newton_steps_form_only_the_unknown_coefficients(monkeypatch):
     inverse = phi.invert()
     assert count[0] <= 0.6 * 24345
     assert inverse == MatrixJet.diagonal(exp_jet(F(-13, 9), 160), 1)
+
+
+# -- operands that carry no information: constant pairs, exact zeros, packed words ----
+
+
+def _read(m):
+    """Each entry of ``m`` as the model ({(i, j): nonzero coefficient}, x_order,
+    t_order), read through ``entries`` and ``at`` alone; exact axes are read to
+    ``_SCAN``, past every operand drawn here."""
+    def model(v):
+        xo, to = v.x_order, v.t_order
+        at = v.at if isinstance(v, BiJet) else lambda i, j: v.at(i)
+        nt = 1 if isinstance(v, Jet) else (_SCAN if to is None else to) + 1
+        cells = itertools.product(range((_SCAN if xo is None else xo) + 1), range(nt))
+        return {k: c for k in cells if (c := at(*k))}, xo, to
+    return [[model(v) for v in row] for row in m.entries]
+
+
+def _assert_matrix_matches(m, kind, models):
+    assert m.kind == kind
+    for row, model_row in zip(m.entries, models):
+        for v, model in zip(row, model_row):
+            _assert_entry_matches(v, model)
+
+
+_big_numerator = st.integers(2**299, 2**300).flatmap(lambda n: st.sampled_from((n, -n)))
+_scalar = st.one_of(st.sampled_from((0, 1, -1)), st.fractions(-5, 5, max_denominator=12),
+                    st.builds(F, _big_numerator, st.integers(1, 2**64)))
+
+
+@st.composite
+def _constant_matrix(draw, dim, finite_jets):
+    """``c I`` from the public constructors, a jet or bi-jet of any orders (a
+    finite-order jet when ``finite_jets``); half the time one coefficient more
+    makes it a near miss (off the diagonal, past x^0 t^0, or a diagonal entry
+    unlike the others), which must not pass for constant."""
+    c = draw(_scalar)
+    kind = "jet" if finite_jets else draw(st.sampled_from(("jet", "bijet")))
+    xo = draw(st.integers(0, 9) if finite_jets else st.none() | st.integers(0, 9))
+    to = draw(st.none() | st.integers(0, 3)) if kind == "bijet" else None
+    # entry (i, j) as rows[i][j][k][m], the coefficient of x^k t^m
+    rows = [[[[c if i == j else 0]] for j in range(dim)] for i in range(dim)]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        k = draw(st.integers(0, 2 if xo is None else min(xo, 2)))
+        m = draw(st.integers(0, 1 if to is None else min(to, 1))) if kind == "bijet" else 0
+        grid = [[0] * (m + 1) for _ in range(k + 1)]
+        grid[0][0] = rows[i][j][0][0]
+        grid[k][m] += draw(st.sampled_from((1, -1, F(1, 2))))
+        rows[i][j] = grid
+    if kind == "jet":
+        return MatrixJet([[Jet([r[0] for r in e], xo) for e in row] for row in rows])
+    return MatrixJet([[BiJet(e, xo, to) for e in row] for row in rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_constant_pairs_match_the_entrywise_convolution(data):
+    # pairs with c I on the left, the right or both sides, often every pair, beside
+    # dense pairs; constants of any order (a finite one caps the sum) and kind; the
+    # oracle convolves the entries as read back, one Fraction at a time
+    dim, count = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    finite_jets = data.draw(st.booleans())  # where a low cut is valid
+
+    def operand(constant):
+        if constant:
+            return data.draw(_constant_matrix(dim, finite_jets))
+        if finite_jets:
+            return data.draw(_jet_matrix(dim, data.draw(st.integers(0, 9))))
+        return data.draw(_matrix_with_model(dim))[0]
+
+    shapes = ("left", "right", "both") + (() if data.draw(st.booleans()) else ("neither",))
+    pairs = []
+    for _ in range(count):
+        shape = data.draw(st.sampled_from(shapes))
+        pairs.append((operand(shape in ("left", "both")), operand(shape in ("right", "both"))))
+    low = data.draw(st.sampled_from((0, 0, 1, 2, 5)))
+    kind = "bijet" if any(m.kind == "bijet" for pair in pairs for m in pair) else "jet"
+    total = [[({}, None, None)] * dim for _ in range(dim)]
+    for a, b in pairs:
+        total = [[_model_add(x, y) for x, y in zip(r, q)]
+                 for r, q in zip(total, _model_matmul(_read(a), _read(b)))]
+    xo = total[0][0][1]
+    if low and (kind != "jet" or xo is None or not 0 < low <= xo):
+        with pytest.raises(ValueError):
+            jets_module._sum_of_products(pairs, low)
+        return
+    expected = [[({(i - low, j): c for (i, j), c in d.items() if i >= low and c},
+                  None if o is None else o - low, t) for d, o, t in row] for row in total]
+    _assert_matrix_matches(jets_module._sum_of_products(pairs, low), kind, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pack_and_unpack_at_every_slot_width(data):
+    # signed slots of 1 to 12 bytes, at and next to the ends of their range;
+    # an unpack keeps slots low to n - 1 whatever the integer holds above slot n
+    nb = data.draw(st.integers(1, 12))
+    h = 1 << (8 * nb - 1)
+    cs = data.draw(st.lists(st.sampled_from((-h, -h + 1, h - 1, 0)) | st.integers(-h, h - 1),
+                            min_size=1, max_size=12))
+    n = len(cs)
+    packed = sum(c << (8 * nb * k) for k, c in enumerate(cs))
+    assert intpoly._pack(cs, nb) == packed
+    garbage = data.draw(st.integers(-(2**300), 2**300))
+    low = data.draw(st.integers(0, n - 1))
+    assert intpoly._unpack(packed + (garbage << (8 * nb * n)), n, nb, low) == cs[low:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_exact_zero_summands_are_returned_as_they_are(data):
+    # m + 0, 0 + m, m - 0 and 0 - m for a jet or bi-jet m and a zero of either
+    # kind, exact or of finite orders, against the entry-wise sums of the models;
+    # an exact zero caps nothing, so the sum is m itself when no promotion is due
+    dim = data.draw(st.integers(1, 3))
+    m, model = data.draw(_matrix_with_model(dim))
+    kind = data.draw(st.sampled_from(("jet", "bijet")))
+    xo = data.draw(st.none() | st.integers(0, 9))
+    to = data.draw(st.none() | st.integers(0, 3)) if kind == "bijet" else None
+    cell = (lambda: Jet([0], xo)) if kind == "jet" else (lambda: BiJet([[0]], xo, to))
+    zero = MatrixJet([[cell() for _ in range(dim)] for _ in range(dim)])
+    zero_model = [[({}, xo, to)] * dim] * dim
+    total = "jet" if m.kind == kind == "jet" else "bijet"
+
+    def entrywise(x, y, sign):
+        return [[_model_add(p, q, sign) for p, q in zip(r, s)] for r, s in zip(x, y)]
+
+    for got, expected in ((m + zero, entrywise(model, zero_model, 1)),
+                          (zero + m, entrywise(zero_model, model, 1)),
+                          (m - zero, entrywise(model, zero_model, -1)),
+                          (zero - m, entrywise(zero_model, model, -1))):
+        _assert_matrix_matches(got, total, [[({k: c for k, c in d.items() if c}, o, t)
+                                              for d, o, t in row] for row in expected])
+    # (two exact zeros give the left one)
+    if (xo, to) == (None, None) and total == m.kind and (
+            (m.x_order, m.t_order, m.is_zero()) != (None, None, True)):
+        assert m + zero is m and zero + m is m and m - zero is m
 
 
 def _fresh(m):

@@ -71,6 +71,23 @@ MUTANTS = [
      'else (nb, nx, nt, stride)', 'else (nb, nx, nt)'),
     ("jet packed cut to its first product's order, then reused", "jets.py",
      'key = (nb, nx) if self.kind == "jet"', 'key = nb if self.kind == "jet"'),
+    ("constancy ignores off-diagonal entries", "jets.py",
+     "\n                        and heads.count(0) == len(heads) - dim * bool(c)):", "):"),
+    ("constancy reads a finite-order tail as constant", "jets.py",
+     "if (nonzero == len(heads) - heads.count(0) and heads", "if (heads"),
+    ("constant pair added without its scale f_p", "jets.py",
+     "constants.append((f * ca, b))", "constants.append((ca, b))"),
+    ("exact-zero test ignores the orders", "jets.py",
+     "return self.x_order is None and self.t_order is None and self.is_zero()",
+     "return self.is_zero()"),
+    ("0 - m returns m", "jets.py",
+     "m = other if op is operator.add else -other", "m = other"),
+    ("pack without the xor", "intpoly.py",
+     'return (int.from_bytes(data, "little") ^ bias) - bias',
+     'return int.from_bytes(data, "little") - bias'),
+    ("unpack without the xor", "intpoly.py",
+     "v = (((v + bias) & ((1 << (8 * nb * n)) - 1)) ^ bias) >> (8 * nb * low)",
+     "v = ((v + bias) & ((1 << (8 * nb * n)) - 1)) >> (8 * nb * low)"),
     ("time_propagate divides by m + 2", "darboux.py",
      "Fraction(1, m + 1)", "Fraction(1, m + 2)"),
     ("larger MAX_TERMS", "free.py",
