@@ -10,10 +10,12 @@ Left division L = L_s M^+ + r^+ is solved by the backward recursion
 
     b_{N-1} = a_N,   b_n = a_{n+1} - L_s(b_{n+1}),   r^+ = a_0 - L_s(b_0),
 
-where L_s(u) = Du - s u acts on coefficients; every call cross-checks the
-recursion against its unrolled alternating-power form and fails loudly on
-any disagreement.  Vanishing remainders are exactly the generalized Riccati
-conditions for one-sided factorization.
+where L_s(u) = Du - s u acts on coefficients.  Every call certifies its answer
+by the defining identity L_s o M^+ + r^+ == L, composed through
+:meth:`DiffOperator.compose`, which shares no code with the recursion's
+``ls_apply``; any coefficient that differs raises ``ConsistencyError``.
+Vanishing remainders are exactly the generalized Riccati conditions for
+one-sided factorization.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from .bell import BellTable
 from .errors import ConsistencyError, IndexRangeError, KernelPremiseViolatedError
 from .jets import MatrixJet, log_derivative
-from .operators import DiffOperator, dot, ls_apply
+from .operators import DiffOperator, dot, ls_apply, make_ls
 
 
 @dataclass
@@ -59,7 +61,7 @@ def _right_remainder(L: DiffOperator, table: BellTable):
 
 
 def divide_left(L: DiffOperator, s) -> DivisionOutcome:
-    """Split L as (L_s o quotient) + remainder."""
+    """Split L as (L_s o quotient) + remainder, certified by composing back."""
     _require_divisible(L)
     n_top = L.order
     b = [None] * n_top
@@ -67,57 +69,29 @@ def divide_left(L: DiffOperator, s) -> DivisionOutcome:
     for n in range(n_top - 2, -1, -1):
         b[n] = L.coeff(n + 1) - ls_apply(b[n + 1], s)
     remainder = L.coeff(0) - ls_apply(b[0], s)
-    # independent path: unrolled alternating powers of L_s
-    powers = _ls_power_columns(L, s)
-    for n in range(n_top):
-        if not (_alternating_sum(powers, n) == b[n]):
-            raise ConsistencyError(
-                f"left-division coefficient b_{n} differs between the recursion "
-                "and the power-expansion form"
-            )
-    if not (_alternating_sum(powers, -1) == remainder):
-        raise ConsistencyError(
-            "left-division remainder differs between the recursion and the "
-            "power-expansion form"
-        )
     quotient = DiffOperator(b, L.realization)
+    # certificate on a route without ls_apply: compose pushes D (_push_d) and sums (dot)
+    rebuilt = make_ls(s).compose(quotient) + DiffOperator([remainder], L.realization)
+    for k in range(n_top + 1):
+        if not (rebuilt.coeff(k) == L.coeff(k)):
+            raise ConsistencyError(
+                f"left division fails L_s o M^+ + r^+ == L at the coefficient of D^{k}")
     return DivisionOutcome(quotient, remainder, "left", remainder.is_zero())
 
 
-def _ls_power_columns(L: DiffOperator, s) -> list:
-    """powers[k][j] = L_s^j applied to the coefficient a_k, j = 0..k."""
-    powers = []
-    for k in range(L.order + 1):
-        col = [L.coeff(k)]
-        for _ in range(k):
-            col.append(ls_apply(col[-1], s))
-        powers.append(col)
-    return powers
-
-
-def _alternating_sum(powers: list, n: int):
-    """sum_{k>n} (-1)^(k-n-1) L_s^(k-n-1)(a_k): the power form of b_n, and of the
-    remainder r^+ at n = -1."""
-    acc = None
-    for k in range(n + 1, len(powers)):
-        term = powers[k][k - n - 1]
-        if (k - n - 1) % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def riccati_residual(L: DiffOperator, s, side: str, table: BellTable = None):
-    """Remainder of the chosen one-sided division, computed without the quotient.
+    """Remainder of the chosen one-sided division.
 
-    The residual vanishes exactly when L factors through L_s on that side,
-    i.e. when s solves the corresponding generalized Riccati equation.
+    On the right it is the Bell sum, computed without the quotient; on the left
+    it is the remainder of the certified :func:`divide_left`.  The residual
+    vanishes exactly when L factors through L_s on that side, i.e. when s
+    solves the corresponding generalized Riccati equation.
     """
     _require_divisible(L)
     if side == "right":
         return _right_remainder(L, table or BellTable(s))
     if side == "left":
-        return _alternating_sum(_ls_power_columns(L, s), -1)
+        return divide_left(L, s).remainder
     raise ValueError("side must be 'left' or 'right'")
 
 

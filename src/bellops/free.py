@@ -20,10 +20,12 @@ flips ``STAR_BIT``.  Letters and Fractions appear only in the constructor,
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import index
 from typing import Mapping, NamedTuple
 
@@ -37,7 +39,7 @@ RESERVED_NAMES = frozenset({"e", "D", "D0", "x", "t"})
 MAX_TERMS = 2**14
 # A derivation forms one word per letter of each word; at most this many are
 # formed, so B_16(s) (278528 letters) has its derivative and D^k(s^4)
-# (4 C(k+3, 3) letters) stops at k = 91.
+# (4 C(k+3, 3) letters) is refused, before any derivation, for k > 91.
 MAX_LETTERS = 2**19
 FIELD_BITS = 20  # a letter holds d and d0 counts up to FIELD_MAX
 FIELD_MAX = (1 << FIELD_BITS) - 1
@@ -52,6 +54,11 @@ class Letter(NamedTuple):
     star: bool = False
     d0: int = 0
     d: int = 0
+
+
+def _refuse_letters(letters: int):
+    raise TermBudgetError(f"free-ring derivative of {letters} letters exceeds "
+                          f"the budget of {MAX_LETTERS}")
 
 
 def _lowest(nums: dict, den: int) -> tuple:
@@ -240,13 +247,33 @@ class FreeElement:
         nums = {w: c.numerator * v for w, v in self.nums.items()}
         return FreeElement._new(self.ring, *_lowest(nums, self.den * c.denominator))
 
+    def check_derivations(self, k: int, d0: bool = False) -> None:
+        """Refuse k successive derivations (``d``, or ``d0``) before any of them
+        when the input to one is bounded over ``MAX_LETTERS`` letters.  j
+        derivations take a word of length L to at most C(j + L - 1, L - 1)
+        words of length L; words with the same letters underived and the same
+        sum t of derived counts give at most C(t + j + L - 1, L - 1) in all.
+        The bound is exact for one word, and above the count where words merge."""
+        step = D0_STEP if d0 else 1
+        groups = Counter()
+        for w in filter(None, self.nums):
+            counts = [x // step & FIELD_MAX for x in w]
+            groups[tuple(x - c * step for x, c in zip(w, counts)), sum(counts)] += 1
+
+        def letters(j):
+            return sum(len(w) * min(n * comb(j + len(w) - 1, len(w) - 1),
+                                    comb(t + j + len(w) - 1, len(w) - 1))
+                       for (w, t), n in groups.items())
+        j = bisect_left(range(k), True, key=lambda j: letters(j) > MAX_LETTERS)
+        if j < k:
+            _refuse_letters(letters(j))
+
     def _leibniz(self, step: int) -> "FreeElement":
         """Sum over each word's letters of the word with that letter's code
         raised by ``step``: 1 raises its d, ``D0_STEP`` its d0."""
         letters = sum(map(len, self.nums))
         if letters > MAX_LETTERS:
-            raise TermBudgetError(f"free-ring derivative of {letters} letters exceeds "
-                                  f"the budget of {MAX_LETTERS}")
+            _refuse_letters(letters)
         full = step * FIELD_MAX
         if any(x & full == full for x in set().union(*self.nums)):
             raise ValueError(f"a free-ring derivative count would exceed {FIELD_MAX}")

@@ -36,6 +36,7 @@ from .errors import (
     UndeclaredGeneratorError,
     UnsupportedRealizationError,
 )
+from .free import FreeElement
 from .jets import Jet, MatrixJet, x_jet
 from .operators import DiffOperator
 
@@ -211,6 +212,8 @@ class _Parser:
 
         def value():
             v = inner()
+            if power > 1 and isinstance(v, FreeElement):  # one is budgeted by d itself
+                v.check_derivations(power, d0=name == "D0")
             for _ in range(power):
                 if name == "D":
                     v = v.d()

@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import count
 
 import pytest
 
@@ -197,33 +198,46 @@ def test_left_remainder_sees_coefficient_derivatives(ring, s):
     assert out.remainder != product_form
 
 
-def perturb_power_form(monkeypatch, wrong_at):
-    """Make the power form of divide_left off by e wherever ``wrong_at(n)``."""
-    true_sum = division._alternating_sum
+def perturb_recursion(monkeypatch, wrong_call):
+    """Make divide_left's ls_apply off by e at its call number ``wrong_call`` (from
+    0); on L = D^3 call 0 gives b_1 and call 2 gives r^+."""
+    true_apply, calls = division.ls_apply, count()
 
-    def perturbed(powers, n):
-        value = true_sum(powers, n)
-        return value + value.one_like() if wrong_at(n) else value
+    def perturbed(u, s):
+        value = true_apply(u, s)
+        return value + value.one_like() if next(calls) == wrong_call else value
 
-    monkeypatch.setattr(division, "_alternating_sum", perturbed)
+    monkeypatch.setattr(division, "ls_apply", perturbed)
 
 
-def test_divide_left_rejects_a_wrong_power_form_coefficient(ring, s, monkeypatch):
-    perturb_power_form(monkeypatch, lambda n: n == 1)
+def test_divide_left_rejects_a_wrong_quotient_coefficient(ring, s, monkeypatch):
+    # b_1 off by e leaves L_s(b_1) + b_0 == a_1 but breaks L_s(b_2) + b_1 == a_2
+    perturb_recursion(monkeypatch, 0)
     with pytest.raises(ConsistencyError) as err:
         divide_left(d_power_operator(ring, 3), s)
     assert str(err.value) == (
-        "left-division coefficient b_1 differs between the recursion and the "
-        "power-expansion form")
+        "left division fails L_s o M^+ + r^+ == L at the coefficient of D^2")
 
 
-def test_divide_left_rejects_a_wrong_power_form_remainder(ring, s, monkeypatch):
-    perturb_power_form(monkeypatch, lambda n: n == -1)
+def test_divide_left_rejects_a_wrong_remainder(ring, s, monkeypatch):
+    perturb_recursion(monkeypatch, 2)
     with pytest.raises(ConsistencyError) as err:
         divide_left(d_power_operator(ring, 3), s)
     assert str(err.value) == (
-        "left-division remainder differs between the recursion and the "
-        "power-expansion form")
+        "left division fails L_s o M^+ + r^+ == L at the coefficient of D^0")
+
+
+def test_divide_left_catches_ls_apply_with_s_on_the_right(monkeypatch):
+    # L_s(u) = Du - u s agrees with Du - s u at dim 1, so the fault needs dim 2;
+    # the certificate composes through compose, which never calls ls_apply
+    rng = random.Random(40)
+    op = DiffOperator([random_matrix_jet(rng, 2, 16) for _ in range(4)])
+    s = random_matrix_jet(rng, 2, 16)
+    monkeypatch.setattr(division, "ls_apply", lambda u, s: u.d() - u * s)
+    for call in (lambda: divide_left(op, s), lambda: riccati_residual(op, s, "left")):
+        with pytest.raises(ConsistencyError) as err:
+            call()
+        assert str(err.value).startswith("left division fails L_s o M^+ + r^+ == L at ")
 
 
 # -- residuals ------------------------------------------------------------------------------
@@ -234,7 +248,7 @@ def test_riccati_residual_matches_division(ring, s):
     for _ in range(8):
         op = random_free_operator(rng, ring, 4)
         assert riccati_residual(op, s, "right") == divide_right(op, s).remainder
-        assert riccati_residual(op, s, "left") == divide_left(op, s).remainder
+        assert riccati_residual(op, s, "left") == ls_power_coefficients(op, s)[1]
 
 
 def test_riccati_residual_right_is_bell_sum(ring, s):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from bellops import (
 )
 from bellops import free
 from bellops.free import FIELD_MAX, MAX_LETTERS, MAX_TERMS
+from bellops.parsing import parse_element
 
 RING = FreeRing(("s", "u"))
 
@@ -263,3 +265,47 @@ def test_derivation_budget_counts_letters(ring, s, monkeypatch):
     with pytest.raises(TermBudgetError) as err:
         twice.d()
     assert str(err.value) == "free-ring derivative of 7 letters exceeds the budget of 6"
+
+
+@settings(max_examples=60, deadline=None)
+@given(elements, st.booleans())
+def test_predicted_derivations_refuse_whenever_a_step_would(x, d0):
+    """check_derivations bounds the letters of each step's input from above, so
+    it refuses k derivations whenever one of them would be over the budget."""
+    derive = FreeElement.d0 if d0 else FreeElement.d
+    formed, value = [], x
+    for _ in range(4):
+        formed.append(sum(len(w) for w, _ in value.terms()))
+        value = derive(value)
+    for k, letters in enumerate(formed, 1):
+        if letters:
+            with patch.object(free, "MAX_LETTERS", letters - 1):
+                with pytest.raises(TermBudgetError):
+                    x.check_derivations(k, d0)
+
+
+def test_predicted_derivations_are_exact_for_one_word_and_its_derivatives(ring, s):
+    # D^j(s^4) has 4 C(j + 3, 3) letters, over the budget from j = 91 on
+    s4 = s * s * s * s
+    s4.check_derivations(91)
+    with pytest.raises(TermBudgetError) as err:
+        s4.check_derivations(1000)
+    assert str(err.value) == "free-ring derivative of 536176 letters exceeds the budget of 524288"
+    # D^20(s^4) has C(23, 3) words that merge under further derivations; the bound
+    # sees that they share their underived letters and their sum of d counts
+    d20 = s4
+    for _ in range(20):
+        d20 = d20.d()
+    d20.check_derivations(71)
+    with pytest.raises(TermBudgetError, match="of 536176 letters"):
+        d20.check_derivations(72)
+
+
+def test_derivation_powers_are_refused_before_any_derivation(ring, s, monkeypatch):
+    def derived(self, step):
+        raise AssertionError("a derivation ran")
+
+    monkeypatch.setattr(FreeElement, "_leibniz", derived)
+    for text in ("D^1000(s*s*s*s)", "D0^1000(s*s*s*s)", "D^30(D^1000(s*s*s*s))"):
+        with pytest.raises(TermBudgetError, match="of 536176 letters"):
+            parse_element(text, {"s": s}, ring.one)
