@@ -9,6 +9,7 @@ which keeps the order and the leading coefficient and satisfies the t-free
 intertwining identity  L_s o L - Ltilde o L_s = Dr + [r, s].  That same order-0
 value is the right-hand side of the generalized Burgers equation for s, also
 computable term by term as sum_n ( (Da_n - s a_n) B_n + a_n B_{n+1} ).
+Every check of these identities fails through :func:`bellops.operators.certify`.
 
 For two-variable checks, :func:`time_propagate` integrates d_t phi = L phi as
 a formal Taylor series in t (each t-level costs order(L) x-orders), and
@@ -31,7 +32,7 @@ from .errors import (
     UnsupportedRealizationError,
 )
 from .jets import MatrixJet, log_derivative
-from .operators import DiffOperator, dot, ls_apply, make_ls
+from .operators import DiffOperator, certify, dot, ls_apply, make_ls
 
 
 @dataclass
@@ -89,28 +90,20 @@ def darboux_transform(L: DiffOperator, s, table: BellTable = None) -> DarbouxOut
     transformed = DiffOperator((lsm[0] + remainder,) + lsm[1:], L.realization)
     defect = intertwine_defect(L, transformed, s)
     expected = remainder.d() + (remainder * s - s * remainder)
-    if not (defect == expected):
-        raise ConsistencyError("intertwine defect does not equal Dr + [r, s]")
-    if not (rhs == expected):
-        raise ConsistencyError("Burgers right-hand side does not equal Dr + [r, s]")
+    certify(defect, expected, ConsistencyError, "intertwine defect does not equal Dr + [r, s]")
+    certify(rhs, expected, ConsistencyError, "Burgers right-hand side does not equal Dr + [r, s]")
     return DarbouxOutcome(transformed, remainder, defect, rhs)
 
 
 def intertwine_defect(L: DiffOperator, Ltilde: DiffOperator, s):
-    """Order-0 coefficient of L_s o L - Ltilde o L_s.
-
-    Raises if the difference has positive order, which signals a wrong
-    transformed operator.  The value is read from the coefficient list, since
-    the operator drops trailing coefficients that are zero only to a finite order.
-    """
+    """Order-0 coefficient of L_s o L - Ltilde o L_s.  A difference of positive
+    order signals a wrong transformed operator and raises: L_s o L must equal
+    Ltilde o L_s with its D^0 coefficient swapped for that of L_s o L."""
     ls = make_ls(s)
     left, right = ls.compose(L), Ltilde.compose(ls)
-    n = max(len(left.coeffs), len(right.coeffs))
-    diff = [left.coeff(k) - right.coeff(k) for k in range(n)]
-    order = DiffOperator(diff, L.realization).order
-    if order > 0:
-        raise DefectNotScalarError(f"intertwining discrepancy has order {order}, expected <= 0")
-    return diff[0]
+    certify(left, DiffOperator((left.coeff(0),) + right.coeffs[1:], L.realization),
+            DefectNotScalarError, "intertwining discrepancy L_s o L - Ltilde o L_s is not scalar")
+    return left.coeff(0) - right.coeff(0)
 
 
 def burgers_rhs(L: DiffOperator, s, table: BellTable = None):
@@ -164,11 +157,7 @@ def audit_transformed_coefficients(L: DiffOperator, s) -> CoefficientAudit:
     table = BellTable(s)
     formula = transformed_coefficients(L, s, table)
     oracle = darboux_transform(L, s, table).transformed
-    first = None
-    for k in range(max(formula.order, oracle.order) + 1):
-        if not (formula.coeff(k) == oracle.coeff(k)):
-            first = k
-            break
+    first = formula.mismatch(oracle)
     return CoefficientAudit(formula, oracle, first is None, first)
 
 

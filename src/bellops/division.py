@@ -13,9 +13,9 @@ Left division L = L_s M^+ + r^+ is solved by the backward recursion
 where L_s(u) = Du - s u acts on coefficients.  Every call certifies its answer
 by the defining identity L_s o M^+ + r^+ == L, composed through
 :meth:`DiffOperator.compose`, which shares no code with the recursion's
-``ls_apply``; any coefficient that differs raises ``ConsistencyError``.
-Vanishing remainders are exactly the generalized Riccati conditions for
-one-sided factorization.
+``ls_apply``.  Vanishing remainders are exactly the generalized Riccati
+conditions for one-sided factorization.  Every check here, this one and
+:func:`factor_from_kernel`'s three, fails through :func:`bellops.operators.certify`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .bell import BellTable
 from .errors import ConsistencyError, IndexRangeError, KernelPremiseViolatedError
 from .jets import MatrixJet, log_derivative
-from .operators import DiffOperator, dot, ls_apply, make_ls
+from .operators import DiffOperator, certify, dot, ls_apply, make_ls
 
 
 @dataclass
@@ -71,11 +71,8 @@ def divide_left(L: DiffOperator, s) -> DivisionOutcome:
     remainder = L.coeff(0) - ls_apply(b[0], s)
     quotient = DiffOperator(b, L.realization)
     # certificate on a route without ls_apply: compose pushes D (_push_d) and sums (dot)
-    rebuilt = make_ls(s).compose(quotient) + DiffOperator([remainder], L.realization)
-    for k in range(n_top + 1):
-        if not (rebuilt.coeff(k) == L.coeff(k)):
-            raise ConsistencyError(
-                f"left division fails L_s o M^+ + r^+ == L at the coefficient of D^{k}")
+    certify(make_ls(s).compose(quotient) + DiffOperator([remainder], L.realization), L,
+            ConsistencyError, "left division fails L_s o M^+ + r^+ == L")
     return DivisionOutcome(quotient, remainder, "left", remainder.is_zero())
 
 
@@ -104,24 +101,14 @@ def factor_from_kernel(L: DiffOperator, phi: MatrixJet, side: str):
     oracle-checkable direction for this side).
     """
     if side == "right":
-        image = L.apply(phi)
-        if not image.is_zero():
-            raise KernelPremiseViolatedError(
-                "phi is not annihilated by L on the valid range"
-            )
-        s = log_derivative(phi, "right")
-        outcome = divide_right(L, s)
-        if not outcome.exact:
-            raise ConsistencyError(
-                "kernel element produced a nonzero right-division remainder"
-            )
-        return s, outcome
-    if side == "left":
-        s = log_derivative(phi, "left")
-        outcome = divide_left(L, s)
-        if not outcome.exact:
-            raise KernelPremiseViolatedError(
-                "phi does not witness an exact left factorization of L"
-            )
-        return s, outcome
-    raise ValueError("side must be 'left' or 'right'")
+        certify(L.apply(phi), phi.zero_like(), KernelPremiseViolatedError,
+                "phi is not annihilated by L on the valid range")
+        divide, error, message = (divide_right, ConsistencyError,
+                                  "kernel element produced a nonzero right-division remainder")
+    else:
+        divide, error, message = (divide_left, KernelPremiseViolatedError,
+                                  "phi does not witness an exact left factorization of L")
+    s = log_derivative(phi, side)  # refuses any other side
+    outcome = divide(L, s)
+    certify(outcome.remainder, outcome.remainder.zero_like(), error, message)
+    return s, outcome

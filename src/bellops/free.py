@@ -224,6 +224,11 @@ class FreeElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
+        for c, x in ((self, other), (other, self)):
+            if len(c.nums) == 1 and () in c.nums:  # c e: no pairs, as for c I in jets
+                k = c.nums[()]
+                return x if k == c.den == 1 else FreeElement._new(
+                    self.ring, *_lowest({w: k * v for w, v in x.nums.items()}, x.den * c.den))
         pairs = len(self.nums) * len(other.nums)
         if pairs > MAX_TERMS:
             raise TermBudgetError(

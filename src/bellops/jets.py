@@ -720,7 +720,7 @@ class MatrixJet:
         """Equality on the jointly valid orders."""
         if not isinstance(other, MatrixJet):
             return NotImplemented
-        return other.dim == self.dim and (self - other).is_zero()
+        return other is self or other.dim == self.dim and (self - other).is_zero()
 
     __hash__ = None
 
@@ -852,6 +852,8 @@ def log_derivative(phi: MatrixJet, side: str) -> MatrixJet:
     s_h = _claimed(mul(g.truncate(h, to), x_h), n)
     r = g - mul(s_h, phi)
     cut = None if h is None else h + 1
+    # checked here, not by operators.certify (a layer above): it tests a claimed
+    # order, not two routes to one identity
     if any(any(lv[:cut]) for row in r.nums for e in row for lv in e):
         raise ConsistencyError("log-derivative residual is not zero to the half order")
     if cut is None or cut > n:  # r is zero throughout

@@ -105,13 +105,17 @@ class DiffOperator:
             derivs.append(derivs[-1].d())
         return dot(zip(self.coeffs, derivs))
 
+    def mismatch(self, other: "DiffOperator"):
+        """The lowest power of D whose coefficients differ on their jointly valid
+        orders, or None when there is none."""
+        self._check(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return next((k for k in range(n) if not (self.coeff(k) == other.coeff(k))), None)
+
     def __eq__(self, other):
         if not isinstance(other, DiffOperator):
             return NotImplemented
-        if self.realization != other.realization:
-            return False
-        n = max(len(self.coeffs), len(other.coeffs))
-        return all(self.coeff(k) == other.coeff(k) for k in range(n))
+        return self.realization == other.realization and self.mismatch(other) is None
 
     __hash__ = None
 
@@ -164,6 +168,17 @@ def dot(pairs):
     if isinstance(pairs[0][0], MatrixJet):
         return _sum_of_products(pairs)
     return reduce(add, (a * b for a, b in pairs))
+
+
+def certify(lhs, rhs, error, message: str):
+    """Raise ``error(message)`` unless ``lhs == rhs``, naming for operators the lowest
+    power of D whose coefficients differ (:meth:`DiffOperator.mismatch`)."""
+    if isinstance(lhs, DiffOperator):
+        k = lhs.mismatch(rhs)
+        if k is not None:
+            raise error(f"{message} at the coefficient of D^{k}")
+    elif not (lhs == rhs):
+        raise error(message)
 
 
 def identity_operator(realization) -> DiffOperator:

@@ -100,6 +100,15 @@ def test_intertwine_defect_direct_composition(ring, s):
     assert defect == s.d().d() + 2 * (s.d() * s)
 
 
+def test_intertwine_defect_of_two_zero_operators_is_zero(ring, s):
+    # no IndexError: L = Ltilde = 0 gives the zero difference, whose defect is zero
+    one_by_one = MatrixRealization(1)
+    for r, x in ((ring, s), (one_by_one, MatrixJet.scalar(Jet((1, 2, 3), 2)))):
+        defect = intertwine_defect(DiffOperator([], r), DiffOperator([], r), x)
+        assert defect.is_zero()
+        assert defect.realization == r
+
+
 def test_intertwine_defect_rejects_wrong_transform(ring, s):
     op = d_power_operator(ring, 2)
     wrong = DiffOperator([2 * s.d(), s, ring.one], ring)  # perturbed D-coefficient
@@ -116,7 +125,8 @@ def test_intertwine_defect_rejects_an_order_one_discrepancy(ring, s):
     wrong = DiffOperator([2 * s.d() + ring.gen("u"), ring.zero, ring.one], ring)
     with pytest.raises(DefectNotScalarError) as err:
         intertwine_defect(op, wrong, s)
-    assert str(err.value) == "intertwining discrepancy has order 1, expected <= 0"
+    assert str(err.value) == ("intertwining discrepancy L_s o L - Ltilde o L_s is not scalar"
+                              " at the coefficient of D^1")
 
 
 def test_transform_rejects_a_wrong_intertwine_defect(ring, s, monkeypatch):

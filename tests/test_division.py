@@ -325,8 +325,9 @@ def test_factor_from_kernel_rejects_an_inexact_right_division(monkeypatch):
 def test_factor_from_kernel_premise_violation():
     real = MatrixRealization(1)
     phi = MatrixJet.scalar(Jet((1, 1, 1), 10))  # not in the kernel of D^2
-    with pytest.raises(KernelPremiseViolatedError):
+    with pytest.raises(KernelPremiseViolatedError) as err:
         factor_from_kernel(d_power_operator(real, 2), phi, "right")
+    assert str(err.value) == "phi is not annihilated by L on the valid range"
 
 
 def test_factor_from_kernel_left():
@@ -353,5 +354,6 @@ def test_factor_from_kernel_left_violation():
     op = d_power_operator(MatrixRealization(2), 2) + DiffOperator(
         [random_matrix_jet(rng, 2, 12)]
     )
-    with pytest.raises(KernelPremiseViolatedError):
+    with pytest.raises(KernelPremiseViolatedError) as err:
         factor_from_kernel(op, phi, "left")
+    assert str(err.value) == "phi does not witness an exact left factorization of L"

@@ -104,6 +104,26 @@ def test_term_budget_is_checked_before_multiplying(ring, s):
         b * (a + s.d().d())
 
 
+def test_products_by_a_constant_form_no_term_pairs(ring, s):
+    # B_1(s) = D(e) + e*s: a product by c e is not budgeted as term pairs
+    big = parse_element("D^30(D^30(s*s*s*s))", {"s": s}, ring.one)
+    assert len(big.nums) == 39711 > MAX_TERMS
+    table = BellTable(big)
+    assert table.left(1) == big
+    assert table.right(1) == big
+    assert ring.one * big is big and big * ring.one is big
+    assert parse_element("2*D^30(D^30(s*s*s*s))", {"s": s}, ring.one) == big.scale(2)
+    with pytest.raises(TermBudgetError, match="79422 term pairs"):
+        (ring.one + s) * big
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=elements, c=fractions)
+def test_a_constant_times_an_element_is_its_scaling(a, c):
+    ce = FreeElement(RING, {(): c})
+    assert ce * a == a.scale(c) == a * ce
+
+
 def test_realization_mismatch(ring):
     other = FreeRing(("s",))
     with pytest.raises(RealizationMismatchError):

@@ -5,19 +5,27 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellops import (
     BiJet,
+    ConsistencyError,
+    DefectNotScalarError,
     DiffOperator,
+    FreeRing,
     Jet,
     KernelError,
+    KernelPremiseViolatedError,
     MatrixJet,
+    MatrixRealization,
     RealizationMismatchError,
     d_power_operator,
     identity_operator,
     make_ls,
     x_jet,
 )
+from bellops.operators import certify
 from helpers import random_element, random_free_operator, random_jet, random_matrix_jet
 
 
@@ -274,3 +282,81 @@ def test_negation(ring, s):
     op = DiffOperator([m, m * m], m.realization)
     assert (-op).coeffs == (-m, -(m * m))
     assert (op + -op).is_zero()
+
+
+# -- mismatch and certify -------------------------------------------------------------------
+
+FREE = FreeRing(("s",))
+_S = FREE.gen("s")
+_FREE_POOL = [FREE.zero, FREE.one, _S, -_S, _S.d(), _S * _S + _S.d()]
+
+
+@st.composite
+def _operator_pairs(draw):
+    """Two operators over one realization (the free ring, or 1 x 1 or 2 x 2 jets),
+    of lengths 0-4 drawn apart, whose coefficients are often equal, or equal on
+    their jointly valid orders only, and include exact and finite-order zeros."""
+    dim = draw(st.sampled_from([None, 1, 2]))
+    if dim is None:
+        def fresh():
+            return draw(st.sampled_from(_FREE_POOL))
+
+        def alike(c):
+            return c
+        realization = FREE
+    else:
+        def fresh():
+            xo = draw(st.sampled_from([None, 0, 1, 2]))
+            n = draw(st.integers(1, 3)) if xo is None else xo + 1
+            cells = st.lists(st.integers(-1, 1) if draw(st.booleans()) else st.just(0),
+                             min_size=n, max_size=n)
+            return MatrixJet([[Jet(draw(cells), xo) for _ in range(dim)] for _ in range(dim)])
+
+        def alike(c):  # the same values, cut to a lower finite order or kept
+            if c.x_order is None or draw(st.booleans()):
+                return c
+            return c.truncate(draw(st.integers(0, c.x_order)))
+        realization = MatrixRealization(dim)
+    a = [fresh() for _ in range(draw(st.integers(0, 4)))]
+    b = [alike(c) if draw(st.integers(0, 3)) else fresh() for c in a]
+    b = b[:draw(st.integers(0, len(b)))] + [fresh() for _ in range(draw(st.integers(0, 2)))]
+    return DiffOperator(a, realization), DiffOperator(b, realization)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_operator_pairs(), error=st.sampled_from(
+    [ConsistencyError, DefectNotScalarError, KernelPremiseViolatedError, ValueError]))
+def test_mismatch_is_the_lowest_power_where_the_difference_is_nonzero(pair, error):
+    a, b = pair
+    k = a.mismatch(b)
+    assert (k is None) == (a == b) == (b.mismatch(a) is None)
+    # a second route: the coefficients of the difference operator
+    diff = a - b
+    n = max(len(a.coeffs), len(b.coeffs))
+    assert all(diff.coeff(j).is_zero() for j in range(n if k is None else k))
+    if k is None:
+        assert certify(a, b, error, "claim") is None
+        return
+    assert k == b.mismatch(a) and k < n
+    assert not diff.coeff(k).is_zero()
+    with pytest.raises(Exception) as err:
+        certify(a, b, error, "claim")
+    assert type(err.value) is error
+    assert str(err.value) == f"claim at the coefficient of D^{k}"
+
+
+def test_certify_elements_raises_the_given_class_with_the_message_unchanged():
+    certify(_S * FREE.one, _S, ConsistencyError, "unused")
+    certify(MatrixJet.zeros(2), MatrixRealization(2).zero, ConsistencyError, "unused")
+    for error in (ConsistencyError, KernelPremiseViolatedError, ValueError):
+        with pytest.raises(Exception) as err:
+            certify(_S, -_S, error, "s equals -s")
+        assert type(err.value) is error and str(err.value) == "s equals -s"
+    with pytest.raises(KernelPremiseViolatedError, match=r"^nonzero$"):
+        certify(MatrixJet.identity(1), MatrixJet.zeros(1), KernelPremiseViolatedError, "nonzero")
+
+
+def test_mismatch_refuses_another_realization():
+    with pytest.raises(RealizationMismatchError):
+        DiffOperator([_S]).mismatch(DiffOperator([MatrixJet.identity(1)]))
+    assert DiffOperator([_S]) != DiffOperator([MatrixJet.identity(1)])

@@ -92,6 +92,12 @@ MUTANTS = [
      "Fraction(1, m + 1)", "Fraction(1, m + 2)"),
     ("larger MAX_TERMS", "free.py",
      "MAX_TERMS = 2**14", "MAX_TERMS = 2**15"),
+    ("free product by c e: the other operand returned for any c", "free.py",
+     "return x if k == c.den == 1 else", "return x if True else"),
+    ("free product by c e: the constant's denominator dropped", "free.py",
+     "x.den * c.den))", "x.den))"),
+    ("free product: an operand with a constant term taken for c e", "free.py",
+     "if len(c.nums) == 1 and () in c.nums:", "if () in c.nums:"),
     ("free star without the word reversal", "free.py",
      "x ^ STAR_BIT for x in w[::-1]", "x ^ STAR_BIT for x in w"),
     ("free d bumps only the first letter", "free.py",
@@ -109,17 +115,31 @@ MUTANTS = [
     ("free derivative count carries into the next field", "free.py",
      "if any(x & full == full for x", "if False and any(x & full == full for x"),
     ("transform's intertwining check off", "darboux.py",
-     "    if not (defect == expected):", "    if False:"),
+     "certify(defect, expected,", "certify(defect, defect,"),
     ("transform's Burgers check off", "darboux.py",
-     "    if not (rhs == expected):", "    if False:"),
+     "certify(rhs, expected,", "certify(rhs, rhs,"),
     ("intertwine_defect accepts order 1", "darboux.py",
-     "if order > 0:", "if order > 1:"),
+     "(left.coeff(0),) + right.coeffs[1:]", "(left.coeff(0), left.coeff(1)) + right.coeffs[2:]"),
     ("divide_left coefficient check off", "division.py",
-     "        if not (rebuilt.coeff(k) == L.coeff(k)):", "        if False:"),
+     "    certify(make_ls(s).compose(quotient)", "    (make_ls(s).compose(quotient)"),
     ("divide_left remainder check off", "division.py",
-     "    for k in range(n_top + 1):\n        if not (rebuilt", "    for k in range(1, n_top + 1):\n        if not (rebuilt"),
+     "DiffOperator([remainder], L.realization), L,",
+     "DiffOperator([L.coeff(0) - make_ls(s).compose(quotient).coeff(0)], L.realization), L,"),
     ("divide_left certificate compares with L's coefficient one power down", "division.py",
-     "rebuilt.coeff(k) == L.coeff(k)", "rebuilt.coeff(k) == L.coeff(k - 1)"),
+     "DiffOperator([remainder], L.realization), L,",
+     "DiffOperator([remainder], L.realization), "
+     "DiffOperator((L.realization.zero,) + L.coeffs, L.realization),"),
+    ("mismatch starts at D^1", "operators.py",
+     "for k in range(n) if not", "for k in range(1, n) if not"),
+    ("mismatch compares with the other's coefficient one power down", "operators.py",
+     "self.coeff(k) == other.coeff(k)", "self.coeff(k) == other.coeff(k - 1)"),
+    ("mismatch scans only the shorter operator", "operators.py",
+     "n = max(len(self.coeffs), len(other.coeffs))\n        return next(",
+     "n = min(len(self.coeffs), len(other.coeffs))\n        return next("),
+    ("certify never raises for operators", "operators.py",
+     "        if k is not None:\n            raise error(", "        if False:\n            raise error("),
+    ("certify never raises for elements", "operators.py",
+     "    elif not (lhs == rhs):", "    elif False:"),
     ("push: carried c_(m-1) dropped", "operators.py",
      "[c.d() + prev for prev, c in", "[c.d() for prev, c in"),
     ("push: top coefficient differentiated", "operators.py",
@@ -139,13 +159,15 @@ MUTANTS = [
     ("ls_apply: s * u swapped to u * s", "operators.py",
      "return u.d() - s * u", "return u.d() - u * s"),
     ("factor_from_kernel premise check off", "division.py",
-     "        if not image.is_zero():", "        if False:"),
+     "certify(L.apply(phi), phi.zero_like(),", "certify(L.apply(phi), L.apply(phi),"),
     ("factor_from_kernel right exactness check off", "division.py",
-     "        if not outcome.exact:\n            raise ConsistencyError(",
-     "        if False:\n            raise ConsistencyError("),
+     "certify(outcome.remainder, outcome.remainder.zero_like(),",
+     'certify(outcome.remainder, outcome.remainder if side == "right" else '
+     "outcome.remainder.zero_like(),"),
     ("factor_from_kernel left exactness check off", "division.py",
-     "        if not outcome.exact:\n            raise KernelPremiseViolatedError(",
-     "        if False:\n            raise KernelPremiseViolatedError("),
+     "certify(outcome.remainder, outcome.remainder.zero_like(),",
+     'certify(outcome.remainder, outcome.remainder if side == "left" else '
+     "outcome.remainder.zero_like(),"),
     ("matveev ok ignores the residual", "darboux.py",
      "ok = residual.is_zero() and burgers_residual.is_zero()",
      "ok = burgers_residual.is_zero()"),
@@ -154,7 +176,7 @@ MUTANTS = [
     ("verify-matveev exits 0 on a failed check", "cli.py",
      "0 if report.ok else 1", "0"),
     ("coefficient audit never reports a mismatch", "darboux.py",
-     "        if not (formula.coeff(k) == oracle.coeff(k)):", "        if False:"),
+     "first = formula.mismatch(oracle)", "first = None"),
     ("transformed_coefficients: first pair (a_k, B_(k,0)) dropped", "darboux.py",
      "        yield L.coeff(k), table.gen(k, 0)\n", ""),
     ("JSON word: every letter written as the word's first", "cli.py",
