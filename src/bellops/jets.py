@@ -20,6 +20,11 @@ for operands that carry information: a pair with a constant operand ``c I``
 (``L_s``'s leading unit, ``B_0``, the top of each quotient) is not multiplied
 but adds ``c`` times the other operand into the sum, and an exact zero summand
 gives the other operand back as it is, packs and statistics included.
+Equality reads the two grids level by level on the jointly valid orders, each
+scaled to the common denominator, and stops at the first difference; it builds
+no difference matrix.  As no grid is ever written to, the exact units ``I`` and
+``0`` are built once per dimension and shared (:meth:`MatrixJet.identity`,
+:meth:`MatrixJet.zeros`).
 Inversion is Newton iteration in x from a fraction-free inverse of the
 constant term, each step forming only the coefficients not yet known, then a
 recurrence over the higher t-levels, one sum of products per level.  :func:`log_derivative`
@@ -40,6 +45,7 @@ import operator
 from operator import attrgetter, methodcaller
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -319,6 +325,20 @@ def _levelwise(ea: list, eb: list, op, nx: Optional[int], nt: Optional[int]) -> 
     return out
 
 
+def _same_level(a: list, b: list, fa: int, fb: int, n: Optional[int]) -> bool:
+    """Whether ``fa a`` and ``fb b`` agree on their first ``n`` coefficients (all
+    when None), the shorter padded with zeros; the first difference ends the
+    comparison."""
+    a, b = a[:n], b[:n]
+    if len(a) < len(b):
+        a, b, fa, fb = b, a, fb, fa
+    if len(a) > len(b) and any(a[len(b):]):
+        return False
+    if fa == fb:  # both 1: the grids share a denominator
+        return a == b if len(a) == len(b) else all(map(operator.eq, a, b))
+    return all(map(operator.eq, map(fa.__mul__, a), map(fb.__mul__, b)))
+
+
 def _flat(nums, nx: Optional[int], nt: Optional[int], stride: int) -> list:
     """Each entry's first ``nt`` t-levels, cut to ``nx`` coefficients, as one
     coefficient list: x^i t^j goes to slot ``j * stride + i``; trailing zeros dropped."""
@@ -336,12 +356,6 @@ def _flat(nums, nx: Optional[int], nt: Optional[int], stride: int) -> list:
     return flat
 
 
-def _extent(m: "MatrixJet", nx: Optional[int], nt: Optional[int]) -> tuple:
-    """(longest x-level, most t-levels) of ``m`` cut to ``nx`` and ``nt``."""
-    lx, lt = m._statistics()[:2]
-    return lx if nx is None else min(lx, nx), lt if nt is None else min(lt, nt)
-
-
 def _sum_of_products(pairs: Sequence[tuple], low: int = 0) -> "MatrixJet":
     """``(sum_p a_p b_p) / x^low`` over the pairs ``(a_p, b_p)``, as one integer
     matrix product: the sum with its first ``low`` x-coefficients cut off, valid
@@ -354,16 +368,22 @@ def _sum_of_products(pairs: Sequence[tuple], low: int = 0) -> "MatrixJet":
     the sum is valid to the smallest order of any operand, a bi-jet if any
     operand is one, and over the lcm of the ``a_p.den * b_p.den``, to which each
     pair is scaled up by ``f_p``.  With ``stride = Lx_a + Lx_b - 1`` for the
-    longest x-levels of each side as laid out (:func:`_extent`), every x-product
-    of two t-levels fits in one stride, so laying t-level j out from slot
-    ``j * stride`` makes a bivariate product a univariate one.
+    longest x-levels of each side as laid out, every x-product of two t-levels
+    fits in one stride, so laying t-level j out from slot ``j * stride`` makes a
+    bivariate product a univariate one.
+
+    One pass over the pairs reads each operand's grid statistics
+    (:meth:`MatrixJet._statistics`) once and forms the orders, the kind, the
+    denominators, the extents of each side and the split below; the extents
+    are the longest x-level and the most t-levels over each side, then cut to
+    the kept orders.
 
     A pair with a constant operand, ``(c / den) I`` of any orders and kind
-    (``c = 0`` too; :meth:`MatrixJet._statistics` tells), is not multiplied:
-    ``f_p c`` times the other operand, laid out at the stride, cut to the kept
-    orders and shifted down by ``low``, is added into the unpacked sum.  Its
-    operands still count for the orders, the kind and ``den``.  The other pairs
-    are multiplied, and only they set K, the way and the slot width; with none,
+    (``c = 0`` too; the statistics tell), is not multiplied: ``f_p c`` times the
+    other operand, laid out at the stride, cut to the kept orders and shifted
+    down by ``low``, is added into the unpacked sum.  Its operands still count
+    for the orders, the kind, ``den`` and the extents.  The other pairs are
+    multiplied, and only they set K, the way and the slot width; with none,
     no product is formed.
 
     A product of jets cuts nothing: each jet packs its whole stored level,
@@ -380,45 +400,50 @@ def _sum_of_products(pairs: Sequence[tuple], low: int = 0) -> "MatrixJet":
     """
     first = pairs[0][0]
     dim = first.dim
+    xo = to = None
+    kind = "jet"
+    la = ta = lb = tb = 0
+    dens, products, constants = [], [], []
     for a, b in pairs:
         first._pair(a)
         a._pair(b)
-    operands = [m for pair in pairs for m in pair]
-    xo = to = None
-    for m in operands:
-        xo, to = _omin(xo, m.x_order), _omin(to, m.t_order)
+        sa, sb = a._statistics(), b._statistics()
+        xo, to = _omin(_omin(xo, a.x_order), b.x_order), _omin(_omin(to, a.t_order), b.t_order)
+        if a.kind == "bijet" or b.kind == "bijet":
+            kind = "bijet"
+        la, ta, lb, tb = max(la, sa[0]), max(ta, sa[1]), max(lb, sb[0]), max(tb, sb[1])
+        p = a.den * b.den
+        dens.append(p)
+        if sa[4] is not None:
+            constants.append((sa[4], b, p))
+        elif sb[4] is not None:
+            constants.append((sb[4], a, p))
+        else:
+            products.append((a, b, p, sa, sb))
     nx = None if xo is None else xo + 1
     nt = None if to is None else to + 1
-    den = lcm(*(a.den * b.den for a, b in pairs))
-    scales = [den // (a.den * b.den) for a, b in pairs]
-    kind = "bijet" if any(m.kind == "bijet" for m in operands) else "jet"
+    den = lcm(*dens)
     if low and (kind != "jet" or xo is None or not 0 < low <= xo):
         raise ValueError(f"cannot cut {low} coefficients off a {kind} sum of x-order {xo}")
     cut = None if kind == "jet" else nx
-    sides = [a for a, _ in pairs], [b for _, b in pairs]
-    (la, ta), (lb, tb) = (map(max, zip(*(_extent(m, cut, nt) for m in side))) for side in sides)
+    if cut is not None:
+        la, lb = min(la, cut), min(lb, cut)
+    if nt is not None:
+        ta, tb = min(ta, nt), min(tb, nt)
     stride = la + lb - 1
     lt = ta + tb - 1 if nt is None else min(ta + tb - 1, nt)
     w = stride if nx is None else min(stride, nx)
     n = (lt - 1) * stride + w
-    products, constants = [], []
-    for a, b, f in zip(*sides, scales):
-        ca, cb = a._statistics()[4], b._statistics()[4]
-        if ca is not None:
-            constants.append((f * ca, b))
-        elif cb is not None:
-            constants.append((f * cb, a))
-        else:
-            products.append((a, b, f))
     if not products:
         flat = [[[0] * (n - low) for _ in range(dim)] for _ in range(dim)]
     else:
-        lefts, rights, fs = zip(*products)
-        bits = (max(a._statistics()[2] + (f - 1).bit_length() for a, f in zip(lefts, fs))
-                + max(b._statistics()[2] for b in rights))
+        lefts, rights, ps, stats_a, stats_b = zip(*products)
+        fs = [den // p for p in ps]
+        bits = (max([sa[2] + (f - 1).bit_length() for sa, f in zip(stats_a, fs)])
+                + max([sb[2] for sb in stats_b]))
         inner = len(products) * dim
-        per_entry = (min(sum(m._statistics()[3] for m in side) for side in (lefts, rights))
-                     / (inner * dim))
+        nonzero = min(sum([sa[3] for sa in stats_a]), sum([sb[3] for sb in stats_b]))
+        per_entry = nonzero / (inner * dim)
         if prefers_packing(per_entry, dim, bits):
             nb = slot_bytes(bits, inner, (ta - 1) * stride + la, (tb - 1) * stride + lb)
             left = [[] for _ in range(dim)]
@@ -432,7 +457,8 @@ def _sum_of_products(pairs: Sequence[tuple], low: int = 0) -> "MatrixJet":
             left = [[e for g in left for e in g[i]] for i in range(dim)]
             right = [row for b in rights for row in b.nums]
             flat = _schoolbook(_flat(left, nx, nt, stride), _flat(right, nx, nt, stride), n, low)
-    for k, m in constants:  # k m, laid out as the sum is, added slot by slot
+    for c, m, p in constants:  # k m, laid out as the sum is, added slot by slot
+        k = den // p * c
         if k:
             for row, cells in zip(flat, _flat(m.nums, nx, nt, stride)):
                 for acc, cs in zip(row, cells):
@@ -547,11 +573,13 @@ class MatrixJet:
 
     @classmethod
     def identity(cls, dim: int) -> "MatrixJet":
-        return cls.diagonal(Jet.constant(1), dim)
+        """The exact identity: one shared matrix per dimension."""
+        return _unit(1, dim)
 
     @classmethod
     def zeros(cls, dim: int) -> "MatrixJet":
-        return cls.diagonal(Jet.constant(0), dim)
+        """The exact zero: one shared matrix per dimension."""
+        return _unit(0, dim)
 
     @classmethod
     def constant(cls, matrix) -> "MatrixJet":
@@ -717,10 +745,27 @@ class MatrixJet:
         return not any(any(lv) for row in self.nums for e in row for lv in e)
 
     def __eq__(self, other):
-        """Equality on the jointly valid orders."""
+        """Equality on the jointly valid orders: the grids compared level by level,
+        each scaled to the common denominator, up to the first difference.
+        Matrices of different dimensions are unequal."""
         if not isinstance(other, MatrixJet):
             return NotImplemented
-        return other is self or other.dim == self.dim and (self - other).is_zero()
+        if other is self:
+            return True
+        if other.dim != self.dim:
+            return False
+        xo, to = _omin(self.x_order, other.x_order), _omin(self.t_order, other.t_order)
+        nx = None if xo is None else xo + 1
+        g = gcd(self.den, other.den)
+        fa, fb = other.den // g, self.den // g
+        for ra, rb in zip(self.nums, other.nums):
+            for ea, eb in zip(ra, rb):
+                for m in range(max(len(ea), len(eb)) if to is None else to + 1):
+                    a = ea[m] if m < len(ea) else [0]
+                    b = eb[m] if m < len(eb) else [0]
+                    if not _same_level(a, b, fa, fb, nx):
+                        return False
+        return True
 
     __hash__ = None
 
@@ -819,6 +864,13 @@ class MatrixJet:
 
     def __repr__(self):
         return f"MatrixJet(dim={self.dim}, kind={self.kind}, x_order={self.x_order}, t_order={self.t_order})"
+
+
+@cache
+def _unit(c: int, dim: int) -> MatrixJet:
+    """The exact ``c I`` of dimension ``dim``, built once; grids are never
+    mutated, so every caller can share it."""
+    return MatrixJet.diagonal(Jet.constant(c), dim)
 
 
 def log_derivative(phi: MatrixJet, side: str) -> MatrixJet:

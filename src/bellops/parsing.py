@@ -20,6 +20,14 @@ ring work when called.  :func:`parse_element` calls the thunk only after the
 whole text is read, so every syntax, bound and generator error is raised
 before any ring operation.
 
+A number literal evaluates to a ``Fraction`` and stays one until it meets a
+ring element: a product with an element ``a`` is the scalar product
+``a * c``, a sum with ``a`` is ``a + one * c``, numbers combine with numbers as
+Fractions, ``D``/``D0`` of a number differentiate ``one * c``, and a whole
+value that is a number is ``one * c``.  A power multiplies from its base by
+binary powering, with no first product by ``one`` (``a^0`` is ``one``).  Ring
+operations keep the written order of factors and terms.
+
 Operator files hold ``a[<k>] = <expr>`` lines; initial-condition files hold
 ``entry[<i>][<j>] = <polynomial in x>`` lines.  ``#`` starts a comment.
 """
@@ -129,6 +137,7 @@ class _Parser:
             terms.append((1 if self.take()[0] == "+" else -1, self.term()))
         if len(terms) == 1 and sign == 1:
             return terms[0][1]
+        one = self.one
 
         def value():
             total = None
@@ -136,12 +145,20 @@ class _Parser:
                 piece = term()
                 if sign < 0:
                     piece = -piece
-                total = piece if total is None else total + piece
+                if total is None:
+                    total = piece
+                elif isinstance(total, Fraction) is isinstance(piece, Fraction):
+                    total = total + piece
+                elif isinstance(total, Fraction):  # a number meets a ring element as one * c
+                    total = piece + one * total
+                else:
+                    total = total + one * piece
             return total
         return value
 
     def term(self):
-        """Factors multiplied left to right, in their written order."""
+        """Factors multiplied left to right, in their written order; a number
+        scales the ring element it meets."""
         factors = [self.factor()]
         while self.peek()[0] == "*":
             self.take()
@@ -152,7 +169,11 @@ class _Parser:
         def value():
             total = factors[0]()
             for factor in factors[1:]:
-                total = total * factor()
+                piece = factor()
+                if isinstance(total, Fraction) and not isinstance(piece, Fraction):
+                    total = piece * total
+                else:
+                    total = total * piece
             return total
         return value
 
@@ -163,15 +184,19 @@ class _Parser:
         exponent, one = self.power(), self.one
 
         def value():
-            # binary powering: powers of one element commute, so this is exact
-            b, total, k = base(), one, exponent
+            b = base()
+            if isinstance(b, Fraction):
+                return b ** exponent
+            # binary powering from the base: powers of one element commute, so
+            # this is exact, and it forms no product with one
+            total, k = None, exponent
             while k:
                 if k & 1:
-                    total = total * b
+                    total = b if total is None else total * b
                 k >>= 1
                 if k:
                     b = b * b
-            return total
+            return one if total is None else total
         return value
 
     def power(self):
@@ -208,10 +233,12 @@ class _Parser:
     def derivation(self, name):
         """D or D0 (already taken) to a power, applied to a group one derivation at a time."""
         power = self.power() if self.peek()[0] == "^" else 1
-        inner = self.group()
+        inner, one = self.group(), self.one
 
         def value():
             v = inner()
+            if isinstance(v, Fraction):
+                v = one * v
             if power > 1 and isinstance(v, FreeElement):  # one is budgeted by d itself
                 v.check_derivations(power, d0=name == "D0")
             for _ in range(power):
@@ -235,7 +262,7 @@ class _Parser:
                 if den == 0:
                     raise ExprSyntaxError("zero denominator", at)
                 number = number / den
-            return lambda: one * number
+            return lambda: number
         if tok[0] == "(":
             return self.group()
         if tok[0] == "IDENT":
@@ -260,8 +287,10 @@ class _Parser:
 
 def parse_element(text: str, env, one):
     """Parse and evaluate expression text; the names bound in ``env`` are its
-    generators.  The whole text is parsed before any ring operation."""
-    return _Parser(text, env, one).parse()()
+    generators.  The whole text is parsed before any ring operation; a value
+    that is a number in the end is ``one`` times it."""
+    value = _Parser(text, env, one).parse()()
+    return one * value if isinstance(value, Fraction) else value
 
 
 # -- file formats ----------------------------------------------------------------

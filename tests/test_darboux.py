@@ -1,5 +1,6 @@
 """Transformed operators, intertwining defects and the two-variable checks."""
 
+import copy
 import random
 from fractions import Fraction as F
 
@@ -171,6 +172,20 @@ def test_intertwining_on_jets_order_five():
     diff = make_ls(s).compose(op) - out.transformed.compose(make_ls(s))
     assert diff.order <= 0
     assert diff.coeff(0) == out.burgers_rhs
+
+
+def test_transform_leaves_the_grids_of_the_shared_units_unchanged():
+    """Every caller shares MatrixJet.identity(dim) and MatrixJet.zeros(dim); a
+    transform (whose operators pad with the zero and whose L_s carries the
+    identity) must not write into them."""
+    units = (MatrixJet.identity(2), MatrixJet.zeros(2))
+    before = [copy.deepcopy((u.kind, u.x_order, u.t_order, u.nums, u.den)) for u in units]
+    rng = random.Random(49)
+    coeffs = [random_matrix_jet(rng, 2, 8) for _ in range(3)] + [MatrixJet.zeros(2)]
+    op = DiffOperator(coeffs + [MatrixJet.identity(2)], MatrixRealization(2))
+    darboux_transform(op, random_matrix_jet(rng, 2, 8))
+    assert [(u.kind, u.x_order, u.t_order, u.nums, u.den) for u in units] == before
+    assert MatrixJet.identity(2) is units[0] and MatrixRealization(2).zero is units[1]
 
 
 # -- Burgers right-hand side --------------------------------------------------------------

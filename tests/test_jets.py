@@ -525,6 +525,77 @@ def test_dimension_mismatch():
         MatrixJet.identity(2) + MatrixJet.identity(3)
 
 
+@st.composite
+def _matrix(draw, dim, kind):
+    """A dim x dim matrix of the given kind over a drawn denominator, with exact or
+    finite orders; exact axes keep no trailing zeros."""
+    xo = draw(st.one_of(st.none(), st.integers(0, 3)))
+    to = draw(st.one_of(st.none(), st.integers(0, 2))) if kind == "bijet" else None
+    den = draw(st.sampled_from([1, 2, 3, 6]))
+    small = st.lists(st.integers(-2, 2).map(lambda v: F(v, den)), min_size=1, max_size=5)
+
+    def entry():
+        if kind == "jet":
+            return Jet(draw(small), xo)
+        return BiJet(draw(st.lists(small, min_size=1, max_size=4)), xo, to)
+    return MatrixJet([[entry() for _ in range(dim)] for _ in range(dim)])
+
+
+@st.composite
+def _pairs_to_compare(draw):
+    """(a, b): b independent of a, a truncation of a (also one that cuts off the
+    coefficient that set a's denominator), a promoted, a shifted in one
+    coefficient of x or of t, a finite-order zero, or of another dimension."""
+    dim = draw(st.sampled_from([1, 2]))
+    a = draw(_matrix(dim, draw(st.sampled_from(["jet", "bijet"]))))
+    how = draw(st.sampled_from(["independent", "truncated", "cut past a denominator",
+                                "promoted", "shifted", "zero", "other dim"]))
+    if how == "cut past a denominator" and a.x_order != 0:
+        k = draw(st.integers(0, 2 if a.x_order is None else a.x_order - 1))
+        a = a + MatrixJet.diagonal(Jet([0] * (k + 1) + [F(1, 7)]), dim)
+        b = a.truncate(k, a.t_order)
+    elif how in ("independent", "cut past a denominator"):
+        b = draw(_matrix(dim, draw(st.sampled_from(["jet", "bijet"]))))
+    elif how == "truncated":
+        xo = draw(st.integers(0, 3)) if a.x_order is None else draw(st.integers(0, a.x_order))
+        to = None if a.t_order is None else draw(st.integers(0, a.t_order))
+        b = a.truncate(xo, to)
+    elif how == "promoted":
+        b = a.promote()
+    elif how == "shifted":  # in x^k, or in t^k
+        k, c = draw(st.integers(0, 4)), F(1, draw(st.sampled_from([1, 2, 5])))
+        if draw(st.booleans()):
+            bump = MatrixJet.diagonal(Jet([0] * k + [c]), dim)
+        else:
+            bump = MatrixJet([[BiJet([[0] * k + [c if i == j else 0]]) for j in range(dim)]
+                              for i in range(dim)])
+        b = a + bump
+    elif how == "zero":
+        a, b = MatrixJet.zeros(dim).truncate(draw(st.integers(0, 3))), a
+    else:
+        b = draw(_matrix(3 - dim, "jet"))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pairs_to_compare())
+def test_equality_agrees_with_a_zero_difference(pair):
+    a, b = pair
+    expected = a.dim == b.dim and (a - b).is_zero()
+    assert (a == b) is expected
+    assert (b == a) is expected
+    assert (a != b) is not expected
+
+
+def test_units_are_shared_per_dimension():
+    assert MatrixRealization(3).zero is MatrixRealization(3).zero
+    assert MatrixRealization(3).one is MatrixJet.identity(3) is MatrixJet.identity(3)
+    assert MatrixJet.zeros(2) is random_matrix_jet(random.Random(1), 2, 3).zero_like()
+    assert MatrixJet.identity(2) is not MatrixJet.identity(3)
+    assert MatrixJet.zeros(2) == MatrixJet.diagonal(Jet.constant(0), 2)
+    assert MatrixJet.identity(2) == MatrixJet.diagonal(Jet.constant(1), 2)
+
+
 def test_matrices_need_dimension_one():
     # as for MatrixJet([]): refused when built, not at the first product
     for build in (lambda: MatrixJet.identity(0), lambda: MatrixJet.zeros(-1),

@@ -12,17 +12,21 @@ from hypothesis import strategies as st
 
 from bellops import (
     BellTable,
+    BiJet,
     DuplicateIndexError,
+    FreeElement,
     MatrixJet,
     ExprSyntaxError,
     FreeRing,
     Jet,
     OperatorFileError,
+    PrecisionExhaustedError,
     UndeclaredGeneratorError,
     UnsupportedRealizationError,
     d_power_operator,
     x_jet,
 )
+from bellops import jets as jets_module
 from bellops.parsing import (
     MAX_POWER,
     _tokenize,
@@ -47,27 +51,34 @@ def parse(text):
 # | ("prod", (tree, ...)) | ("pow", tree, k) | ("d", "D" or "D0", k, tree).
 
 
-def oracle(tree):
-    """The value of a tree, computed with FreeElement operations alone."""
+def oracle(tree, env=ENV, one=RING.one, zero=RING.zero):
+    """The value of a tree, computed with the realization's operations alone: every
+    number is ``one`` times it, a sum starts from ``zero`` and a power from ``one``."""
     kind = tree[0]
     if kind == "num":
-        return F(tree[1], tree[2]) * RING.one
+        return F(tree[1], tree[2]) * one
     if kind == "e":
-        return RING.one
+        return one
     if kind == "gen":
-        return RING.gen(tree[1], star=tree[2])
+        return env[tree[1]].star() if tree[2] else env[tree[1]]
     if kind == "sum":
-        total = RING.zero
+        total = zero
         for sign, term in tree[1]:
-            total = total + oracle(term) if sign > 0 else total - oracle(term)
+            value = oracle(term, env, one, zero)
+            total = total + value if sign > 0 else total - value
         return total
     if kind == "prod":
-        return reduce(mul, map(oracle, tree[1]))
+        return reduce(mul, [oracle(t, env, one, zero) for t in tree[1]])
     if kind == "pow":
-        return reduce(mul, [oracle(tree[1])] * tree[2], RING.one)
-    value = oracle(tree[3])
+        return reduce(mul, [oracle(tree[1], env, one, zero)] * tree[2], one)
+    value = oracle(tree[3], env, one, zero)
     for _ in range(tree[2]):
-        value = value.d() if tree[1] == "D" else value.d0()
+        if tree[1] == "D":
+            value = value.d()
+        elif hasattr(value, "d0"):
+            value = value.d0()
+        else:
+            raise UnsupportedRealizationError("no d0")
     return value
 
 
@@ -106,11 +117,12 @@ def render(tree, rng, needs=0):
     return "".join(rng.choice(["", "", " ", "  ", "\t", "\n"]) + t for t in tokens)
 
 
-_LEAVES = st.one_of(  # half generators, half constants
-    st.builds(lambda g, star: ("gen", g, star), st.sampled_from(["s", "u"]), st.booleans()),
-    st.one_of(st.builds(lambda n, d: ("num", n, d), st.integers(0, 30), st.integers(1, 6)),
-              st.just(("e",))),
-)
+def _leaves(names):
+    return st.one_of(  # half generators, half constants
+        st.builds(lambda g, star: ("gen", g, star), st.sampled_from(names), st.booleans()),
+        st.one_of(st.builds(lambda n, d: ("num", n, d), st.integers(0, 30), st.integers(1, 6)),
+                  st.just(("e",))),
+    )
 
 
 def _extend(children):
@@ -124,14 +136,79 @@ def _extend(children):
     )
 
 
-_TREES = st.recursive(_LEAVES, _extend, max_leaves=8)
+def _trees(names):
+    return st.recursive(_leaves(names), _extend, max_leaves=8)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_TREES, st.randoms(use_true_random=False))
-def test_parse_element_matches_the_tree_evaluated_directly(tree, rng):
+_TREES = _trees(["s", "u"])
+
+# Each realization as the parser meets it: (env, one, exact zero).
+_X = x_jet(6)
+_Y = MatrixJet([[BiJet([[1, 2], [0, 1]], 5, 3), BiJet([[0, 1]], 5, 3)],
+                [BiJet([[1], [1]], 5, 3), BiJet([[2, 0, 1], [0, -1]], 5, 3)]])
+REALIZATIONS = {
+    "free": (ENV, RING.one, RING.zero),
+    # an initial-condition file: entry-level jets, x and one both of the file's x-order
+    "jet": ({"x": _X}, Jet((1,), 6), Jet.constant(0)),
+    # a --dim 2 jet session: x diagonal and finite, one the exact identity
+    "matrix": ({"x": MatrixJet.diagonal(_X, 2)}, MatrixJet.identity(2), MatrixJet.zeros(2)),
+    # a --ring bijet session, with a t-dependent y of finite t-order beside x
+    "bijet": ({"x": MatrixJet.diagonal(_X, 2).promote(), "y": _Y},
+              MatrixJet.identity(2).promote(), MatrixJet.zeros(2)),
+}
+_TREES_BY_REALIZATION = {name: _trees(sorted(env)) for name, (env, _, _) in REALIZATIONS.items()}
+
+
+def _signature(value):
+    """Everything a value is made of: its type and, for series, its kind, orders
+    and grid, so that a changed order shows even where ``==`` holds."""
+    if isinstance(value, FreeElement):
+        return "FreeElement", value.den, value.nums
+    m = value if isinstance(value, MatrixJet) else value._m
+    return type(value).__name__, m.kind, m.x_order, m.t_order, m.nums, m.den
+
+
+def _outcome(evaluate):
+    """The signature of ``evaluate()``, or the class of the error it raises."""
+    try:
+        return _signature(evaluate())
+    except (PrecisionExhaustedError, UnsupportedRealizationError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(REALIZATIONS)), st.data(), st.randoms(use_true_random=False))
+def test_parse_element_matches_the_tree_evaluated_directly(name, data, rng):
+    tree = data.draw(_TREES_BY_REALIZATION[name])
+    env, one, zero = REALIZATIONS[name]
     text = render(tree, rng)
-    assert parse(text) == oracle(tree), text
+    expected = _outcome(lambda: oracle(tree, env, one, zero))
+    assert _outcome(lambda: parse_element(text, env, one)) == expected, (name, text)
+
+
+_TREES_OF = {
+    "3/2*x + 5": ("sum", ((1, ("prod", (("num", 3, 2), ("gen", "x", False)))), (1, ("num", 5, 1)))),
+    "x^3": ("pow", ("gen", "x", False), 3),
+    "x^8": ("pow", ("gen", "x", False), 8),
+    "2*3*x^0 - 1/2": ("sum", ((1, ("prod", (("num", 2, 1), ("num", 3, 1),
+                                             ("pow", ("gen", "x", False), 0)))),
+                              (-1, ("num", 1, 2)))),
+}
+
+
+@pytest.mark.parametrize("name", ["jet", "matrix", "bijet"])
+def test_literals_scale_without_kernel_products(name, monkeypatch):
+    """A number scales the element it meets, and a power forms no product with one."""
+    env, one, zero = REALIZATIONS[name]
+    calls = []
+    kernel = jets_module._sum_of_products
+    monkeypatch.setattr(jets_module, "_sum_of_products",
+                        lambda *args: calls.append(1) or kernel(*args))
+    for text, products in (("3/2*x + 5", 0), ("x^3", 2), ("x^8", 3), ("2*3*x^0 - 1/2", 0)):
+        calls.clear()
+        value = parse_element(text, env, one)
+        assert len(calls) == products, text
+        assert _signature(value) == _signature(oracle(_TREES_OF[text], env, one, zero)), text
 
 
 def test_precedence_gives_the_tree_shapes():

@@ -54,7 +54,7 @@ MUTANTS = [
     ("Kronecker slot sized by one pair's dim, not K", "jets.py",
      "nb = slot_bytes(bits, inner,", "nb = slot_bytes(bits, dim,"),
     ("sum of products: per-pair denominator scale dropped", "jets.py",
-     "scales = [den // (a.den * b.den) for a, b in pairs]", "scales = [1 for a, b in pairs]"),
+     "fs = [den // p for p in ps]", "fs = [1 for p in ps]"),
     ("Newton middle product cut at k, not k + 1", "jets.py",
      "e = _sum_of_products([(a0.truncate(k2), lifted)], k + 1)",
      "e = _sum_of_products([(a0.truncate(k2), lifted)], k)"),
@@ -63,7 +63,8 @@ MUTANTS = [
     ("log_derivative correction shifted by h, not h + 1", "jets.py",
      "mul(_shifted(r, -cut), x_h), cut)", "mul(_shifted(r, -cut), x_h), cut - 1)"),
     ("sum of products: orders from the first pair only", "jets.py",
-     "    for m in operands:\n        xo, to =", "    for m in pairs[0]:\n        xo, to ="),
+     "        xo, to = _omin(_omin(xo,",
+     "        if not dens:\n            xo, to = _omin(_omin(xo,"),
     ("pack cache key without the slot width", "jets.py",
      'key = (nb, nx) if self.kind == "jet" else (nb, nx, nt, stride)',
      'key = nx if self.kind == "jet" else (nx, nt, stride)'),
@@ -76,7 +77,13 @@ MUTANTS = [
     ("constancy reads a finite-order tail as constant", "jets.py",
      "if (nonzero == len(heads) - heads.count(0) and heads", "if (heads"),
     ("constant pair added without its scale f_p", "jets.py",
-     "constants.append((f * ca, b))", "constants.append((ca, b))"),
+     "k = den // p * c", "k = c"),
+    ("equality drops the other side's denominator scale", "jets.py",
+     "fa, fb = other.den // g, self.den // g", "fa, fb = 1, self.den // g"),
+    ("equality stops at the shorter operand's levels", "jets.py",
+     "range(max(len(ea), len(eb)) if to is None", "range(min(len(ea), len(eb)) if to is None"),
+    ("equality ignores the longer x-level's tail", "jets.py",
+     "if len(a) > len(b) and any(a[len(b):]):", "if False:"),
     ("exact-zero test ignores the orders", "jets.py",
      "return self.x_order is None and self.t_order is None and self.is_zero()",
      "return self.is_zero()"),
@@ -191,6 +198,12 @@ MUTANTS = [
      '(token if kind == "OP" else kind, token,', "(kind, token,"),
     ("parser: negative sum term added with its sign dropped", "parsing.py",
      "if sign < 0:", "if False:"),
+    ("parser: a scalar term added with its sign dropped", "parsing.py",
+     "if sign < 0:", "if sign < 0 and not isinstance(piece, Fraction):"),
+    ("parser: a number before a ring element dropped from the sum", "parsing.py",
+     "total = piece + one * total", "total = piece"),
+    ("parser: c^k formed as c*k", "parsing.py",
+     "return b ** exponent", "return b * exponent"),
     ("parser: binary powering skips the last squaring", "parsing.py",
      "if k:\n                    b = b * b", "if k > 1:\n                    b = b * b"),
     ("parser: D0 applied as D", "parsing.py",
