@@ -33,10 +33,9 @@ x-order, forms the quotient there and corrects it once by its residual, in a
 short product, so no full-order inverse is built.
 
 :class:`Jet` (x only) and :class:`BiJet` (t-levels that are x-jets of one
-x-order) are the entry values at the API boundary.  Each is a view of a 1 x 1
-matrix and keeps no storage of its own, so every series has one grid and one
-normalization (:func:`_lowest`); their arithmetic is the matrix arithmetic on
-those 1 x 1 matrices.  A jet answers the bi-jet interface as one exact t-level.
+x-order) are API-boundary values: views of 1 x 1 matrices with no storage or
+arithmetic of their own, which no package path computes through.  A jet
+answers the bi-jet interface as one exact t-level.
 """
 
 from __future__ import annotations
@@ -173,8 +172,8 @@ class Jet:
         return (self,)
 
     def truncate(self, order: Optional[int], t_order: Optional[int] = None) -> "Jet":
-        """Truncate to x-order ``order``; a t-order is ignored (the t-axis is exact)."""
-        return _entrywise(methodcaller("truncate", order), self)
+        """Truncate to x-order ``order``; a t-order >= 0 is ignored (the t-axis is exact)."""
+        return _entrywise(methodcaller("truncate", order, t_order), self)
 
     # arithmetic, d and reflect (x -> -x) are the matrix operations on 1 x 1 matrices
     __add__ = __radd__ = _lifted(operator.add)
@@ -469,6 +468,22 @@ def _sum_of_products(pairs: Sequence[tuple], low: int = 0) -> "MatrixJet":
     return MatrixJet._of(kind, nums, den, None if xo is None else xo - low, to)
 
 
+def _assembled(cells: Sequence[Sequence["MatrixJet"]]) -> "MatrixJet":
+    """The matrix with the 1 x 1 matrices ``cells[i][j]`` as entries, valid to their
+    smallest orders, a bi-jet if any is one (a jet is t-constant), over the lcm
+    of their lowest-terms denominators, which keeps the grid in lowest terms."""
+    flat = [c for row in cells for c in row]
+    xo = to = None
+    for c in flat:
+        xo, to = _omin(xo, c.x_order), _omin(to, c.t_order)
+    kind = "bijet" if any(c.kind == "bijet" for c in flat) else "jet"
+    cells = [[(c.promote() if kind == "bijet" else c).truncate(xo, to) for c in row]
+             for row in cells]
+    den = lcm(*(c.den for row in cells for c in row))
+    nums = [[_scaled(c.nums, den // c.den)[0][0] for c in row] for row in cells]
+    return MatrixJet._new(kind, nums, den, xo, to)
+
+
 def _claimed(m: "MatrixJet", xo: Optional[int]) -> "MatrixJet":
     """``m`` claimed to x-order ``xo`` >= its own by zero padding (``m`` itself at
     its own order).  This extends the order ledger, so each caller states why
@@ -538,19 +553,8 @@ class MatrixJet:
             raise ValueError("entries must form a non-empty square grid")
         if not all(isinstance(v, (Jet, BiJet)) for row in grid for v in row):
             raise TypeError("entries must all be Jet or BiJet values")
-        cells = [[v._m for v in row] for row in grid]
-        xo = to = None
-        for row in cells:
-            for c in row:
-                xo, to = _omin(xo, c.x_order), _omin(to, c.t_order)
-        kind = "bijet" if any(c.kind == "bijet" for row in cells for c in row) else "jet"
-        if kind == "bijet":  # a jet among bi-jets is t-constant
-            cells = [[c.promote() for c in row] for row in cells]
-        cells = [[c.truncate(xo, to) for c in row] for row in cells]
-        # an lcm of lowest-terms denominators keeps the whole grid in lowest terms
-        den = lcm(*(c.den for row in cells for c in row))
-        nums = [[_scaled(c.nums, den // c.den)[0][0] for c in row] for row in cells]
-        self._set(kind, nums, den, xo, to)
+        m = _assembled([[v._m for v in row] for row in grid])
+        self._set(m.kind, m.nums, m.den, m.x_order, m.t_order)
 
     def _set(self, kind, nums, den, xo, to):
         self.dim, self.kind, self.nums, self.den = len(nums), kind, nums, den
@@ -590,13 +594,12 @@ class MatrixJet:
         return cls([[jet]])
 
     @classmethod
-    def diagonal(cls, jet: Jet, dim: int) -> "MatrixJet":
+    def diagonal(cls, jet, dim: int) -> "MatrixJet":
+        """``jet`` (a :class:`Jet` or :class:`BiJet`) times I, built by the constructor."""
         if dim < 1:
             raise ValueError("a matrix needs dimension >= 1")
-        m = jet._m
-        diag, zero = m.nums[0][0], [_zeros(m.x_order)]
-        nums = [[diag if i == j else zero for j in range(dim)] for i in range(dim)]
-        return cls._new("jet", nums, m.den, m.x_order, None)
+        zero = Jet.constant(0)
+        return cls([[jet if i == j else zero for j in range(dim)] for i in range(dim)])
 
     # -- realization plumbing and the entries view ----------------------------------
 
@@ -725,9 +728,7 @@ class MatrixJet:
 
     def d0(self) -> "MatrixJet":
         if self.kind == "jet":
-            raise UnsupportedRealizationError(
-                "d0 needs the two-variable realization; promote to bi-jets first"
-            )
+            raise UnsupportedRealizationError("d0 is not defined in this realization")
         if self.t_order == 0:
             raise PrecisionExhaustedError("t-derivative of a t-order-0 bi-jet")
         to = None if self.t_order is None else self.t_order - 1
@@ -770,7 +771,9 @@ class MatrixJet:
     __hash__ = None
 
     def truncate(self, x_order: Optional[int], t_order: Optional[int] = None) -> "MatrixJet":
-        """Truncate to ``(x_order, t_order)``; a jet-kind matrix ignores the t-order."""
+        """Truncate to ``(x_order, t_order)``, each >= 0; a jet-kind matrix ignores the t-order."""
+        if min(x_order or 0, t_order or 0) < 0:
+            raise ValueError(f"orders must be >= 0, got x-order {x_order}, t-order {t_order}")
         xo, to = self.x_order, self.t_order
         if self.kind == "jet":
             t_order = None

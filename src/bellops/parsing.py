@@ -29,7 +29,8 @@ binary powering, with no first product by ``one`` (``a^0`` is ``one``).  Ring
 operations keep the written order of factors and terms.
 
 Operator files hold ``a[<k>] = <expr>`` lines; initial-condition files hold
-``entry[<i>][<j>] = <polynomial in x>`` lines.  ``#`` starts a comment.
+``entry[<i>][<j>] = <polynomial in x>`` lines, each entry read as a 1 x 1
+matrix jet.  ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ from .errors import (
     ExprSyntaxError,
     OperatorFileError,
     UndeclaredGeneratorError,
-    UnsupportedRealizationError,
 )
 from .free import FreeElement
-from .jets import Jet, MatrixJet, x_jet
+from .jets import MatrixJet, _assembled, x_jet
 from .operators import DiffOperator
 
 # Deepest allowed parenthesis nesting, counting the parentheses of D(...) and
@@ -242,12 +242,7 @@ class _Parser:
             if power > 1 and isinstance(v, FreeElement):  # one is budgeted by d itself
                 v.check_derivations(power, d0=name == "D0")
             for _ in range(power):
-                if name == "D":
-                    v = v.d()
-                elif hasattr(v, "d0"):
-                    v = v.d0()
-                else:
-                    raise UnsupportedRealizationError("d0 is not defined in this realization")
+                v = v.d() if name == "D" else v.d0()
             return v
         return value
 
@@ -330,11 +325,11 @@ def parse_operator_text(text: str, env, one, realization) -> DiffOperator:
 
 
 def parse_entry_text(text: str, dim: int, x_order) -> MatrixJet:
-    """Parse `entry[i][j] = polynomial in x` lines into a matrix jet."""
-    env = {"x": x_jet(x_order)}
-    one = Jet((1,), x_order)
-    zero = Jet((0,), x_order)
-    entries = [[zero for _ in range(dim)] for _ in range(dim)]
+    """Parse `entry[i][j] = polynomial in x` lines into a matrix jet; each entry is
+    a 1 x 1 matrix, read with ``x``, ``one`` and zero of x-order ``x_order``."""
+    env = {"x": MatrixJet.diagonal(x_jet(x_order), 1)}
+    one = MatrixJet.identity(1).truncate(x_order)
+    entries = [[MatrixJet.zeros(1).truncate(x_order)] * dim for _ in range(dim)]
     seen = set()
     for lineno, line in _content_lines(text):
         m = _ENTRY_LINE_RE.match(line)
@@ -350,4 +345,4 @@ def parse_entry_text(text: str, dim: int, x_order) -> MatrixJet:
             entries[i][j] = parse_element(m.group(3), env, one)
         except (ExprSyntaxError, UndeclaredGeneratorError) as exc:
             raise OperatorFileError(str(exc), lineno) from exc
-    return MatrixJet(entries)
+    return _assembled(entries)

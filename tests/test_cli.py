@@ -48,6 +48,18 @@ def test_cli_golden_matrix(case, tmp_path, monkeypatch):
     assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
 
 
+def test_cli_goldens_compute_through_no_entry_view(tmp_path, monkeypatch):
+    """Every command, initial-condition files included, computes on matrices alone:
+    with the Jet/BiJet views' arithmetic refusing to run, each golden is unchanged."""
+    def refuse(*args):
+        raise AssertionError("a Jet or BiJet view computed")
+    monkeypatch.setattr(bellops.jets, "_entrywise", refuse)
+    monkeypatch.setenv("COLUMNS", "80")
+    for case in GOLDENS["cases"]:
+        code, out, err = run(case["argv"], GOLDENS["files"], tmp_path)
+        assert (code, out, err) == (case["code"], case["stdout"], case["stderr"]), case["argv"]
+
+
 def test_golden_bell(tmp_path):
     code, out, err = run(["bell", "--side", "left", "--n", "2"])
     assert code == 0

@@ -230,6 +230,25 @@ def test_bijet_truncate_and_at_boundaries():
         exact.truncate(0, 0).dt()
 
 
+_NEGATIVE_TRUNCATIONS = {
+    "matrix x-order -1": lambda: MatrixJet([[Jet([1, 2, 3], 4)]]).truncate(-1),
+    "matrix x-order -2": lambda: MatrixJet([[Jet([1, 2, 3], 4)]]).truncate(-2),
+    "matrix t-order -1": lambda: MatrixJet([[BiJet([[1, 2], [3, 4]], 3, 2)]]).truncate(1, -1),
+    "jet matrix t-order -1": lambda: MatrixJet.identity(2).truncate(1, -1),
+    "jet x-order -1": lambda: Jet([1, 2, 3], 4).truncate(-1),
+    "jet t-order -1": lambda: Jet([1, 2, 3]).truncate(1, -1),
+    "bi-jet x-order -1": lambda: BiJet([[1, 2], [3, 4]], 3, 2).truncate(-1, 1),
+    "bi-jet t-order -1": lambda: BiJet([[1, 2], [3, 4]], 3, 2).truncate(1, -1),
+}
+
+
+@pytest.mark.parametrize("name", list(_NEGATIVE_TRUNCATIONS))
+def test_truncate_refuses_negative_orders(name):
+    # as the Jet and BiJet constructors refuse a negative order
+    with pytest.raises(ValueError, match="orders must be >= 0"):
+        _NEGATIVE_TRUNCATIONS[name]()
+
+
 def test_negative_indices_are_out_of_range():
     # a negative index would otherwise read the last stored coefficient or t-level
     j, b = Jet([1, 2, 3]), BiJet([[1, 2], [3, 4]], 1, 1)
@@ -594,6 +613,24 @@ def test_units_are_shared_per_dimension():
     assert MatrixJet.identity(2) is not MatrixJet.identity(3)
     assert MatrixJet.zeros(2) == MatrixJet.diagonal(Jet.constant(0), 2)
     assert MatrixJet.identity(2) == MatrixJet.diagonal(Jet.constant(1), 2)
+
+
+def test_diagonal_is_built_as_the_constructor_builds_it():
+    b, zero = BiJet([[1, 2], [3, 4]], 3, 2), Jet.constant(0)
+    for v in (b, x_jet(5), x_jet(), exp_jet(F(3, 2), 6), Jet.constant(1), Jet([F(1, 2), 3])):
+        for dim in (1, 2, 3):
+            d = MatrixJet.diagonal(v, dim)
+            m = MatrixJet([[v if i == j else zero for j in range(dim)] for i in range(dim)])
+            assert (d.kind, d.x_order, d.t_order, d.nums, d.den) == (
+                m.kind, m.x_order, m.t_order, m.nums, m.den)
+    d = MatrixJet.diagonal(x_jet(2), 2)
+    assert (d.nums, d.den) == ([[[[0, 1, 0]], [[0, 0, 0]]], [[[0, 0, 0]], [[0, 1, 0]]]], 1)
+    # a bi-jet keeps its t-levels and its t-order
+    d = MatrixJet.diagonal(b, 2)
+    assert (d.kind, d.t_order, len(d.t_levels())) == ("bijet", 2, 3)
+    assert d.d0() == MatrixJet.diagonal(b.dt(), 2)
+    with pytest.raises(TypeError, match="entries must all be Jet or BiJet values"):
+        MatrixJet.diagonal(3, 2)
 
 
 def test_matrices_need_dimension_one():

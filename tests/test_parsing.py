@@ -148,8 +148,8 @@ _Y = MatrixJet([[BiJet([[1, 2], [0, 1]], 5, 3), BiJet([[0, 1]], 5, 3)],
                 [BiJet([[1], [1]], 5, 3), BiJet([[2, 0, 1], [0, -1]], 5, 3)]])
 REALIZATIONS = {
     "free": (ENV, RING.one, RING.zero),
-    # an initial-condition file: entry-level jets, x and one both of the file's x-order
-    "jet": ({"x": _X}, Jet((1,), 6), Jet.constant(0)),
+    # an initial-condition file's 1 x 1 session: x and one both of the file's x-order
+    "jet": ({"x": MatrixJet.diagonal(_X, 1)}, MatrixJet.identity(1).truncate(6), MatrixJet.zeros(1)),
     # a --dim 2 jet session: x diagonal and finite, one the exact identity
     "matrix": ({"x": MatrixJet.diagonal(_X, 2)}, MatrixJet.identity(2), MatrixJet.zeros(2)),
     # a --ring bijet session, with a t-dependent y of finite t-order beside x
@@ -479,6 +479,75 @@ def test_entry_file_star_reflects_x():
 def test_entry_file_has_no_time_derivative():
     with pytest.raises(UnsupportedRealizationError):
         parse_entry_text("entry[0][0] = D0(x)\n", 1, 4)
+
+
+def test_a_number_only_entry_keeps_the_file_x_order():
+    """``one`` has the file's x-order, so a number is not an exact constant."""
+    m = parse_entry_text("entry[0][0] = 3/2\n", 1, 5)
+    assert (m.kind, m.x_order, m.t_order) == ("jet", 5, None)
+    assert (m.nums, m.den) == ([[[[3, 0, 0, 0, 0, 0]]]], 2)
+
+
+# An entry as (text, coefficients of the polynomial it denotes, x-orders its
+# derivatives cost); the coefficients are computed on Fraction lists alone.
+def _poly_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    return [(a[k] if k < len(a) else 0) + sign * (b[k] if k < len(b) else 0) for k in range(n)]
+
+
+def _poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def _entry_sum(terms):
+    (sign, (text, poly, cost)), rest = terms[0], terms[1:]
+    text, poly = ("-" if sign < 0 else "") + f"({text})", [sign * c for c in poly]
+    for sign, term in rest:
+        text += (" + " if sign > 0 else " - ") + f"({term[0]})"
+        poly, cost = _poly_add(poly, term[1], sign), max(cost, term[2])
+    return text, poly, cost
+
+
+_ENTRIES = st.recursive(
+    st.one_of(st.builds(lambda n, d: (f"{n}/{d}", [F(n, d)], 0),
+                        st.integers(0, 30), st.integers(1, 6)),
+              st.just(("x", [F(0), F(1)], 0)), st.just(("x*'", [F(0), F(-1)], 0))),
+    lambda children: st.one_of(
+        st.builds(_entry_sum, st.lists(st.tuples(st.sampled_from([1, -1]), children),
+                                       min_size=1, max_size=3)),
+        st.builds(lambda a, b: (f"({a[0]})*({b[0]})", _poly_mul(a[1], b[1]), max(a[2], b[2])),
+                  children, children),
+        # a^0 is one, of the file's x-order, whatever a costs
+        st.builds(lambda a, k: (f"({a[0]})^{k}", reduce(_poly_mul, [a[1]] * k, [F(1)]),
+                                a[2] if k else 0), children, st.integers(0, 3)),
+        st.builds(lambda a: (f"D({a[0]})", [k * c for k, c in enumerate(a[1])][1:] or [F(0)],
+                             a[2] + 1), children),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_entry_files_give_the_grid_built_from_jets(data):
+    """A file of dim 1-3 with unlisted entries reads as the matrix of the entries'
+    polynomials, each a Jet cut to the file's x-order less what its derivatives cost."""
+    dim = data.draw(st.integers(1, 3))
+    cells = data.draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)),
+                               unique=True, max_size=dim * dim))
+    listed = {cell: data.draw(_ENTRIES) for cell in cells}
+    ds = sum(text.count("D(") for text, _, _ in listed.values())
+    x_order = data.draw(st.integers(ds, ds + 6))
+    text = "".join(f"entry[{i}][{j}] = {e[0]}\n" for (i, j), e in listed.items())
+    expected = MatrixJet([[Jet(listed[i, j][1], x_order - listed[i, j][2]) if (i, j) in listed
+                           else Jet((0,), x_order) for j in range(dim)] for i in range(dim)])
+    m = parse_entry_text(text, dim, x_order)
+    assert (m.kind, m.x_order, m.t_order, m.nums, m.den) == (
+        expected.kind, expected.x_order, expected.t_order, expected.nums, expected.den), text
 
 
 def test_entry_file_errors():

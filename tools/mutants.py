@@ -207,7 +207,15 @@ MUTANTS = [
     ("parser: binary powering skips the last squaring", "parsing.py",
      "if k:\n                    b = b * b", "if k > 1:\n                    b = b * b"),
     ("parser: D0 applied as D", "parsing.py",
-     "v = v.d0()", "v = v.d()"),
+     'if name == "D" else v.d0()', 'if name == "D" else v.d()'),
+    ("initial-condition one left exact", "parsing.py",
+     "one = MatrixJet.identity(1).truncate(x_order)", "one = MatrixJet.identity(1)"),
+    ("unlisted initial-condition entry left exact", "parsing.py",
+     "[[MatrixJet.zeros(1).truncate(x_order)] * dim", "[[MatrixJet.zeros(1)] * dim"),
+    ("assembler keeps each cell's own denominator", "jets.py",
+     "[[_scaled(c.nums, den // c.den)[0][0] for c in row]", "[[c.nums[0][0] for c in row]"),
+    ("truncate accepts a negative order", "jets.py",
+     "if min(x_order or 0, t_order or 0) < 0:", "if False:"),
 ]
 
 
