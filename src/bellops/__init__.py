@@ -8,10 +8,8 @@ transforms with machine-checkable intertwining identities.
 
 from .bell import BellTable
 from .darboux import (
-    CoefficientAudit,
     DarbouxOutcome,
     MatveevReport,
-    audit_transformed_coefficients,
     burgers_rhs,
     darboux_transform,
     intertwine_defect,
@@ -51,7 +49,6 @@ from .operators import DiffOperator, d_power_operator, identity_operator, make_l
 __all__ = [
     "BellTable",
     "BiJet",
-    "CoefficientAudit",
     "ConsistencyError",
     "DarbouxOutcome",
     "DefectNotScalarError",
@@ -77,7 +74,6 @@ __all__ = [
     "TermBudgetError",
     "UndeclaredGeneratorError",
     "UnsupportedRealizationError",
-    "audit_transformed_coefficients",
     "burgers_rhs",
     "d_power_operator",
     "darboux_transform",

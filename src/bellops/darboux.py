@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .bell import BellTable
 from .division import divide_right
@@ -46,25 +45,6 @@ class DarbouxOutcome:
 
 
 @dataclass
-class CoefficientAudit:
-    """Comparison of the closed coefficient formula against L_s o M + r."""
-
-    formula: DiffOperator
-    oracle: DiffOperator
-    agrees: bool
-    first_mismatch: Optional[int]
-
-    def report(self) -> str:
-        if self.agrees:
-            return "transformed coefficients agree with the operator expansion"
-        k = self.first_mismatch
-        return (
-            f"transformed coefficient a[{k}] differs: "
-            f"formula {self.formula.coeff(k)} vs expansion {self.oracle.coeff(k)}"
-        )
-
-
-@dataclass
 class MatveevReport:
     """Residuals of the wavefunction-transform consistency check."""
 
@@ -76,11 +56,11 @@ class MatveevReport:
     ok: bool
 
 
-def darboux_transform(L: DiffOperator, s, table: BellTable = None) -> DarbouxOutcome:
+def darboux_transform(L: DiffOperator, s) -> DarbouxOutcome:
     """Build the transformed operator and verify its defining identities."""
     if L.order < 1:
         raise IndexRangeError("the transform needs an operator of order >= 1")
-    table = table or BellTable(s)
+    table = BellTable(s)
     division = divide_right(L, s, table)
     remainder = division.remainder
     # the Burgers sum needs B_(N+1), the largest Bell entry: built before the
@@ -127,7 +107,7 @@ def burgers_rhs(L: DiffOperator, s, table: BellTable = None):
 matveev_psi = ls_apply
 
 
-def transformed_coefficients(L: DiffOperator, s, table: BellTable = None) -> DiffOperator:
+def transformed_coefficients(L: DiffOperator, s) -> DiffOperator:
     """Transformed operator assembled coefficient by coefficient.
 
         a_N[1] = a_N
@@ -138,7 +118,7 @@ def transformed_coefficients(L: DiffOperator, s, table: BellTable = None) -> Dif
     """
     if L.order < 1:
         raise IndexRangeError("the transform needs an operator of order >= 1")
-    table = table or BellTable(s)
+    table = BellTable(s)
     n_top = L.order
     ls_a = [ls_apply(L.coeff(n), s) for n in range(n_top + 1)]
 
@@ -150,15 +130,6 @@ def transformed_coefficients(L: DiffOperator, s, table: BellTable = None) -> Dif
 
     coeffs = [dot(terms(k)) for k in range(n_top)] + [L.coeff(n_top)]
     return DiffOperator(coeffs, L.realization)
-
-
-def audit_transformed_coefficients(L: DiffOperator, s) -> CoefficientAudit:
-    """Validate the closed coefficient formula against L_s o M + r."""
-    table = BellTable(s)
-    formula = transformed_coefficients(L, s, table)
-    oracle = darboux_transform(L, s, table).transformed
-    first = formula.mismatch(oracle)
-    return CoefficientAudit(formula, oracle, first is None, first)
 
 
 def time_propagate(L: DiffOperator, phi0: MatrixJet, t_order: int) -> MatrixJet:

@@ -76,7 +76,7 @@ def divide_left(L: DiffOperator, s) -> DivisionOutcome:
     return DivisionOutcome(quotient, remainder, "left", remainder.is_zero())
 
 
-def riccati_residual(L: DiffOperator, s, side: str, table: BellTable = None):
+def riccati_residual(L: DiffOperator, s, side: str):
     """Remainder of the chosen one-sided division.
 
     On the right it is the Bell sum, computed without the quotient; on the left
@@ -86,7 +86,7 @@ def riccati_residual(L: DiffOperator, s, side: str, table: BellTable = None):
     """
     _require_divisible(L)
     if side == "right":
-        return _right_remainder(L, table or BellTable(s))
+        return _right_remainder(L, BellTable(s))
     if side == "left":
         return divide_left(L, s).remainder
     raise ValueError("side must be 'left' or 'right'")

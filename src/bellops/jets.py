@@ -32,6 +32,7 @@ divides phi' by phi the Karp-Markstein way: it inverts phi only to half the
 x-order, forms the quotient there and corrects it once by its residual, in a
 short product, so no full-order inverse is built.
 
+A matrix is read one Fraction at a time, by :meth:`MatrixJet.coefficient`.
 :class:`Jet` (x only) and :class:`BiJet` (t-levels that are x-jets of one
 x-order) are API-boundary values: views of 1 x 1 matrices with no storage or
 arithmetic of their own, which no package path computes through.  A jet
@@ -108,19 +109,6 @@ def _view(m: "MatrixJet"):
     return v
 
 
-def _coefficient(m: "MatrixJet", i: int, j: int) -> Fraction:
-    """Coefficient of x^i t^j of the 1 x 1 matrix ``m``; beyond storage only an
-    exact axis may answer."""
-    if i < 0 or j < 0:
-        raise IndexRangeError(f"coefficient indices must be >= 0, got x^{i} t^{j}")
-    if m.t_order is not None and j > m.t_order:
-        raise PrecisionExhaustedError(f"t^{j} beyond valid t-order {m.t_order}")
-    if m.x_order is not None and i > m.x_order:
-        raise PrecisionExhaustedError(f"coefficient x^{i} beyond valid order {m.x_order}")
-    e = m.nums[0][0]
-    return Fraction(e[j][i], m.den) if j < len(e) and i < len(e[j]) else Fraction(0)
-
-
 class Jet:
     """Truncated power series in one variable with exact coefficients.
 
@@ -162,7 +150,7 @@ class Jet:
 
     def at(self, k: int) -> Fraction:
         """Coefficient of x^k; beyond storage only exact jets may answer."""
-        return _coefficient(self._m, k, 0)
+        return self._m.coefficient(0, 0, k)
 
     def is_zero(self) -> bool:
         return self._m.is_zero()
@@ -242,7 +230,7 @@ class BiJet:
         return _view(MatrixJet._of("jet", [[[lv]]], m.den, m.x_order, None))
 
     def at(self, i: int, j: int) -> Fraction:
-        return _coefficient(self._m, i, j)
+        return self._m.coefficient(0, 0, i, j)
 
     def is_zero(self) -> bool:
         return self._m.is_zero()
@@ -601,24 +589,25 @@ class MatrixJet:
         zero = Jet.constant(0)
         return cls([[jet if i == j else zero for j in range(dim)] for i in range(dim)])
 
-    # -- realization plumbing and the entries view ----------------------------------
+    # -- realization plumbing and coefficient access -----------------------------
 
     @property
     def realization(self) -> MatrixRealization:
         return MatrixRealization(self.dim)
 
-    @property
-    def entries(self) -> tuple:
-        """The entries as lowest-terms :class:`Jet` (or :class:`BiJet`) values,
-        built from the numerator grid on each call."""
-        return tuple(tuple(self._value(e) for e in row) for row in self.nums)
-
-    def _value(self, e: list):
-        """The entry with t-levels ``e`` as a lowest-terms jet (or bi-jet)."""
-        return _view(MatrixJet._of(self.kind, [[e]], self.den, self.x_order, self.t_order))
-
-    def entry(self, i: int, j: int):
-        return self._value(self.nums[i][j])
+    def coefficient(self, i: int, j: int, k: int, m: int = 0) -> Fraction:
+        """Coefficient of x^k t^m in entry (i, j); beyond storage only an exact
+        axis may answer, and a jet-kind matrix's t-axis is exact."""
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexRangeError(f"entry ({i}, {j}) outside a {self.dim} x {self.dim} matrix")
+        if k < 0 or m < 0:
+            raise IndexRangeError(f"coefficient indices must be >= 0, got x^{k} t^{m}")
+        if self.t_order is not None and m > self.t_order:
+            raise PrecisionExhaustedError(f"t^{m} beyond valid t-order {self.t_order}")
+        if self.x_order is not None and k > self.x_order:
+            raise PrecisionExhaustedError(f"coefficient x^{k} beyond valid order {self.x_order}")
+        e = self.nums[i][j]
+        return Fraction(e[m][k], self.den) if m < len(e) and k < len(e[m]) else Fraction(0)
 
     def one_like(self) -> "MatrixJet":
         return MatrixJet.identity(self.dim)

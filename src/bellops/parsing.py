@@ -12,13 +12,16 @@ Grammar (whitespace insensitive, products keep their written order):
 The star suffix token is ``*'`` so it cannot collide with multiplication.
 Exponents (``^INT``, ``D^INT``, ``D0^INT``) and operator-file indices are at
 most ``MAX_POWER``, and entry indices at most ``dim - 1``; integer literals in
-``NUM`` are at most ``MAX_DIGITS`` digits long.
+``NUM`` are at most ``MAX_DIGITS`` digits long; a power of a number may not pass
+what a ``MAX_DIGITS``-digit literal to ``MAX_POWER`` reaches in bits, so
+``((7^1000)^1000)^1000`` is refused.
 
 Parsing and evaluation are one walk: each grammar method of ``_Parser`` reads
 its form and returns a thunk, a zero-argument function that does the form's
 ring work when called.  :func:`parse_element` calls the thunk only after the
 whole text is read, so every syntax, bound and generator error is raised
-before any ring operation.
+before any ring operation, except the bound on a power of a number: it needs
+the number's value and is checked just before the power is formed.
 
 A number literal evaluates to a ``Fraction`` and stays one until it meets a
 ring element: a product with an element ``a`` is the scalar product
@@ -61,6 +64,10 @@ MAX_POWER = 1000
 # Longest allowed integer literal, numerator or denominator, in digits (leading
 # zeros count); it is converted in pieces, under any digit limit of ``int()``.
 MAX_DIGITS = 1000
+
+# Most bits one legal power of a number reaches, a MAX_DIGITS-digit literal to
+# MAX_POWER; a power of a number that could pass it is refused before it is formed.
+_MAX_NUMBER_POWER_BITS = MAX_POWER * (10**MAX_DIGITS - 1).bit_length()
 
 
 def _bounded(digits: str, limit: int = MAX_POWER):
@@ -182,10 +189,15 @@ class _Parser:
         if self.peek()[0] != "^":
             return base
         exponent, one = self.power(), self.one
+        at = self.tokens[self.i - 1][2]  # the exponent's offset
 
         def value():
             b = base()
             if isinstance(b, Fraction):
+                bits = max(b.numerator.bit_length(), b.denominator.bit_length())
+                if exponent * bits > _MAX_NUMBER_POWER_BITS:
+                    raise ExprSyntaxError(
+                        f"power of a number larger than {_MAX_NUMBER_POWER_BITS} bits", at)
                 return b ** exponent
             # binary powering from the base: powers of one element commute, so
             # this is exact, and it forms no product with one

@@ -365,6 +365,15 @@ def test_derivations_over_the_letter_budget_are_domain_errors():
                    "of 524288\n")
 
 
+def test_nested_number_powers_are_refused_before_they_are_formed():
+    """((7^1000)^1000)^1000 would form 7^(10^9), about 350 MB.  A fresh
+    interpreter with a deadline."""
+    code, out, err = _fresh_process(["bell", "--side", "left", "--n", "0",
+                                     "--s", "((7^1000)^1000)^1000"], timeout=10)
+    assert (code, out) == (1, "")
+    assert err == "error: power of a number larger than 3322000 bits (at offset 16)\n"
+
+
 def test_one_parser_prints_as_a_fresh_process(monkeypatch):
     # usage errors twice in a row, and help after a good call, go to the same
     # stream with the same bytes as from a new interpreter
@@ -514,8 +523,8 @@ def test_verify_matveev_cli(tmp_path):
 def test_verify_matveev_exits_1_when_a_residual_is_not_zero(tmp_path, monkeypatch):
     true_transform = darboux.darboux_transform
 
-    def wrong(L, s, table=None):
-        out = true_transform(L, s, table)
+    def wrong(L, s):
+        out = true_transform(L, s)
         out.burgers_rhs = out.burgers_rhs + s.one_like()
         return out
 
@@ -564,7 +573,7 @@ def test_stdout_stderr_separation(tmp_path):
     assert err != ""
 
 
-# -- the matrix printer against the entry views -----------------------------------
+# -- the matrix printer against coefficient() -------------------------------------
 
 _BIG = 3**1300  # a numerator of 2061 bits
 _COEFFICIENTS = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6),
@@ -596,18 +605,18 @@ def _order_text(v):
 
 
 def _entry_lines(m):
-    """The text printer, read from the entry views with at() and coeffs."""
+    """The text printer, read through coefficient() over the stored extents."""
     header = f"order: x={_order_text(m.x_order)}"
     label = "x^{k}"
     if m.kind == "bijet":
         header += f" t={_order_text(m.t_order)}"
         label = "x^{k} t^{t}"
-    entries = m.entries
-    cells = [v for row in entries for v in row]
+    cells = [e for row in m.nums for e in row]
+    n = range(m.dim)
     body = []
-    for k in range(max(len(v.coeffs) for v in cells)):
-        for t in range(max(len(v.levels) for v in cells)):
-            mat = [[v.at(k, t) if m.kind == "bijet" else v.at(k) for v in row] for row in entries]
+    for k in range(max(len(lv) for e in cells for lv in e)):
+        for t in range(max(map(len, cells))):
+            mat = [[m.coefficient(i, j, k, t) for j in n] for i in n]
             if any(c != 0 for row in mat for c in row):
                 rows = ("[" + ", ".join(map(str, row)) + "]" for row in mat)
                 body.append(label.format(k=k, t=t) + ": [" + ", ".join(rows) + "]")
@@ -615,15 +624,18 @@ def _entry_lines(m):
 
 
 def _entry_json(m):
-    """The JSON printer, read from the entry views' coeffs."""
+    """The JSON printer, read through coefficient() over each entry's stored extents."""
     out = {"dim": m.dim, "kind": m.kind, "x_order": m.x_order, "t_order": m.t_order}
+    n = range(m.dim)
     if m.kind == "jet":
-        out["entries"] = [[{"order": v.order, "coeffs": [str(c) for c in v.coeffs]}
-                           for v in row] for row in m.entries]
+        out["entries"] = [[{"order": m.x_order, "coeffs": [
+            str(m.coefficient(i, j, k)) for k in range(len(m.nums[i][j][0]))]}
+            for j in n] for i in n]
     else:
-        out["entries"] = [[{"x_order": v.x_order, "t_order": v.t_order,
-                            "coeffs": [[str(c) for c in r] for r in v.coeffs]}
-                           for v in row] for row in m.entries]
+        out["entries"] = [[{"x_order": m.x_order, "t_order": m.t_order, "coeffs": [
+            [str(m.coefficient(i, j, k, t)) for t in range(len(m.nums[i][j]))]
+            for k in range(max(map(len, m.nums[i][j])))]}
+            for j in n] for i in n]
     return out
 
 

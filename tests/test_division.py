@@ -259,7 +259,7 @@ def test_riccati_residual_right_is_bell_sum(ring, s):
     for n in range(op.order + 1):
         term = op.coeff(n) * table.left(n)
         expected = term if expected is None else expected + term
-    assert riccati_residual(op, s, "right", table) == expected
+    assert riccati_residual(op, s, "right") == expected
 
 
 def test_riccati_residual_exact_factorization(ring, s):

@@ -259,6 +259,18 @@ def test_negative_indices_are_out_of_range():
     assert (j.at(2), b.at(1, 0), b.level(1).nums) == (3, 3, (2, 4))
 
 
+def test_coefficient_past_storage_on_an_exact_axis_is_zero():
+    exact = MatrixJet.constant([[1, 2], [3, 4]])
+    assert (exact.coefficient(1, 0, 0), exact.coefficient(1, 0, 50)) == (3, 0)
+    b = MatrixJet([[BiJet([[1, 2], [3]])]])
+    assert [b.coefficient(0, 0, k, m) for k, m in ((0, 1), (1, 1), (9, 9))] == [2, 0, 0]
+    # a jet-kind matrix is exact in t, at any x-order: every t^m past t^0 is 0
+    m = MatrixJet([[Jet([1, F(1, 2)]), Jet([0, 3], 4)], [Jet([5]), Jet([])]])
+    assert [m.coefficient(0, 1, k) for k in range(5)] == [0, 3, 0, 0, 0]
+    assert [m.coefficient(0, 0, 1), m.coefficient(1, 0, 0, 7)] == [F(1, 2), 0]
+    assert exact.coefficient(0, 1, 0, 1) == 0
+
+
 def test_constructors_store_one_normal_form():
     # an exact jet keeps no trailing zeros, but always its constant term
     assert Jet([]).nums == Jet([0, 0]).nums == (0,)
@@ -331,10 +343,9 @@ def test_bijet_star_commutes_with_d0():
 
 
 def _layout(m):
-    """Kind, orders and every stored t-level of every entry: equal layouts are
+    """Kind, orders and the stored grid over its denominator: equal layouts are
     the same matrix, not just equal up to the common order."""
-    return (m.kind, m.x_order, m.t_order,
-            [[[(lv.nums, lv.den, lv.order) for lv in v.levels] for v in row] for row in m.entries])
+    return m.kind, m.x_order, m.t_order, m.nums, m.den
 
 
 def test_promotion_mixed_kinds():
@@ -798,23 +809,26 @@ def _matrix_with_model(draw, dim):
     return m, [models[dim * i:dim * (i + 1)] for i in range(dim)]
 
 
-def _assert_entry_matches(v, model):
+def _assert_entry_matches(m, i, j, model):
+    """Entry (i, j) of ``m`` holds the model's coefficients, read through
+    ``coefficient``, and ``m`` has the model's orders."""
     d, xo, to = model
-    if isinstance(v, BiJet):
-        levels = v.levels
-        assert (v.x_order, v.t_order) == (xo, to)
-    else:
-        levels = (v,)
-        assert (v.order, to) == (xo, None)
-    for lv in levels:
-        assert lv.den > 0 and gcd(lv.den, *lv.nums) == 1
-        assert lv.order == xo and (xo is None or len(lv.nums) == xo + 1)
-    nx = (max([i for i, _ in d] + [0]) + 2) if xo is None else xo + 1
-    nt = (max([j for _, j in d] + [0]) + 2) if to is None else to + 1
-    for i in range(nx):
-        for j in range(nt):
-            got = v.at(i, j) if isinstance(v, BiJet) else v.at(i) if j == 0 else 0
-            assert got == d.get((i, j), 0), (i, j)
+    assert (m.x_order, m.t_order) == (xo, to)
+    nx = (max([a for a, _ in d] + [0]) + 2) if xo is None else xo + 1
+    nt = (max([b for _, b in d] + [0]) + 2) if to is None else to + 1
+    for a in range(nx):
+        for b in range(nt):
+            assert m.coefficient(i, j, a, b) == d.get((a, b), 0), (i, j, a, b)
+
+
+def _entry(m, i, j):
+    """Entry (i, j) of ``m`` as a Jet (or BiJet) of its orders, read through ``coefficient``."""
+    e = m.nums[i][j]
+    xs = range(max(map(len, e)))
+    if m.kind == "jet":
+        return Jet([m.coefficient(i, j, k) for k in xs], m.x_order)
+    return BiJet([[m.coefficient(i, j, k, t) for t in range(len(e))] for k in xs],
+                 m.x_order, m.t_order)
 
 
 @pytest.mark.parametrize("packed", [True, False], ids=["packed", "term_by_term"])
@@ -829,14 +843,12 @@ def test_packed_matrix_product_matches_fraction_oracle(packed, data):
         for x, y, mx, my in ((a, b, ma, mb), (b, a, mb, ma)):
             product, model = x * y, _model_matmul(mx, my)
             assert product.kind == ("jet" if x.kind == y.kind == "jet" else "bijet")
-            for i in range(dim):
-                for j in range(dim):
-                    _assert_entry_matches(product.entries[i][j], model[i][j])
+            _assert_matrix_matches(product, product.kind, model)
         # entry products (jet, bi-jet or mixed) are the same product on 1x1 operands
-        entry = a.entries[0][0] * b.entries[0][0]
+        entry = _entry(a, 0, 0) * _entry(b, 0, 0)
     finally:
         jets_module.prefers_packing = chosen
-    _assert_entry_matches(entry, _model_mul(ma[0][0], mb[0][0]))
+    _assert_entry_matches(MatrixJet([[entry]]), 0, 0, _model_mul(ma[0][0], mb[0][0]))
 
 
 def _chain_of_products(pairs):
@@ -956,22 +968,22 @@ def test_newton_steps_form_only_the_unknown_coefficients(monkeypatch):
 
 def _read(m):
     """Each entry of ``m`` as the model ({(i, j): nonzero coefficient}, x_order,
-    t_order), read through ``entries`` and ``at`` alone; exact axes are read to
+    t_order), read through ``coefficient`` alone; exact axes are read to
     ``_SCAN``, past every operand drawn here."""
-    def model(v):
-        xo, to = v.x_order, v.t_order
-        at = v.at if isinstance(v, BiJet) else lambda i, j: v.at(i)
-        nt = 1 if isinstance(v, Jet) else (_SCAN if to is None else to) + 1
-        cells = itertools.product(range((_SCAN if xo is None else xo) + 1), range(nt))
-        return {k: c for k in cells if (c := at(*k))}, xo, to
-    return [[model(v) for v in row] for row in m.entries]
+    xo, to = m.x_order, m.t_order
+    nt = 1 if m.kind == "jet" else (_SCAN if to is None else to) + 1
+    cells = list(itertools.product(range((_SCAN if xo is None else xo) + 1), range(nt)))
+    n = range(m.dim)
+    return [[({k: c for k in cells if (c := m.coefficient(i, j, *k))}, xo, to) for j in n]
+            for i in n]
 
 
 def _assert_matrix_matches(m, kind, models):
     assert m.kind == kind
-    for row, model_row in zip(m.entries, models):
-        for v, model in zip(row, model_row):
-            _assert_entry_matches(v, model)
+    _assert_stored_in_lowest_terms(m)
+    for i, model_row in enumerate(models):
+        for j, model in enumerate(model_row):
+            _assert_entry_matches(m, i, j, model)
 
 
 _big_numerator = st.integers(2**299, 2**300).flatmap(lambda n: st.sampled_from((n, -n)))
@@ -1229,7 +1241,7 @@ def test_matrix_results_are_stored_in_lowest_terms(data):
     if a.x_order is None or a.x_order > 0:
         results.append(a.truncate(1 if a.x_order is None else a.x_order - 1, a.t_order))
     # the boundary constructor cuts every entry to the smallest x-order among them
-    rows = [list(row) for row in a.entries]
+    rows = [[_entry(a, i, j) for j in range(dim)] for i in range(dim)]
     rows[0][0] = rows[0][0].truncate(0, a.t_order)
     results.append(MatrixJet(rows))
     # a constant term of I makes an inverse exist whenever the t-axis allows one
@@ -1243,9 +1255,6 @@ def test_matrix_results_are_stored_in_lowest_terms(data):
         pass
     for m in results:
         _assert_stored_in_lowest_terms(m)
-    # the entries view reads the same values in lowest terms per entry and t-level
-    for v in (e for row in (a * b).entries for e in row):
-        assert all(lv.den > 0 and gcd(lv.den, *lv.nums) == 1 for lv in v.levels)
 
 
 def _leibniz_det(a):

@@ -276,6 +276,9 @@ POWER_ERRORS = [
     ("u + D^1001(s)", "exponent larger than 1000", 6),
     ("D0^99999999(s)", "exponent larger than 1000", 3),
     ("(s)^" + "9" * 5000, "exponent larger than 1000", 4),
+    # as ((7^1000)^1000)^1000 (test_cli, in a fresh process); without the bound
+    # this one is formed in a fraction of a second, so the test fails, not hangs
+    ("((7^1000)^1000)^2", "power of a number larger than 3322000 bits", 16),
 ]
 LITERAL_ERRORS = [
     ("1" * 1001, "numeric literal longer than 1000 digits", 0),
@@ -336,7 +339,9 @@ class Untouchable:
 
 def test_every_refusal_comes_before_any_ring_work():
     syntax_errors = POSITION_ERRORS + NESTING_ERRORS + POWER_ERRORS + LITERAL_ERRORS
+    # the nested power after its ^2 form, so a missing bound fails before forming 7^(10^9)
     cases = [(text, QENV, QRING.one) for text, _, _ in syntax_errors]
+    cases.append(("((7^1000)^1000)^1000", QENV, QRING.one))
     for text, env, one in cases + [case[:3] for case in UNDECLARED]:
         expected = refusal(text, env, one)
         untouchable = {name: Untouchable() for name in env}
@@ -408,6 +413,10 @@ def test_operator_file_bad_line():
     with pytest.raises(OperatorFileError) as err:
         op_from("a[0] = e\na[1001] = e\n")
     assert err.value.line == 2
+    # so is a power of a number past the bits one legal power reaches
+    with pytest.raises(OperatorFileError) as err:
+        op_from("a[0] = e\na[1] = ((7^1000)^1000)^2\n")
+    assert err.value.line == 2
 
 
 # -- pretty-printer round trip -------------------------------------------------------------
@@ -464,16 +473,13 @@ def test_entry_file_basic():
     text = "entry[0][0] = 1 + x^2\nentry[1][1] = 2\nentry[0][1] = x\n"
     m = parse_entry_text(text, 2, 8)
     assert m.x_order == 8
-    assert m.entry(0, 0) == Jet((1, 0, 1), 8)
-    assert m.entry(0, 1) == Jet((0, 1), 8)
-    assert m.entry(1, 0) == Jet((0,), 8)
-    assert m.entry(1, 1) == Jet((2,), 8)
+    assert m == MatrixJet([[Jet((1, 0, 1), 8), Jet((0, 1), 8)], [Jet((0,), 8), Jet((2,), 8)]])
 
 
 def test_entry_file_star_reflects_x():
     """As for a 1 x 1 matrix, the star of an entry is x -> -x."""
     m = parse_entry_text("entry[0][0] = (1 + x*')^2\n", 1, 4)
-    assert m.entry(0, 0) == Jet((1, -2, 1), 4)
+    assert m == MatrixJet.scalar(Jet((1, -2, 1), 4))
 
 
 def test_entry_file_has_no_time_derivative():

@@ -34,8 +34,8 @@ Z = scalar([0, 0], 1)  # zero, but only to x-order 1
 
 
 def value(m):
-    """(coefficients, x-order) of a 1 x 1 jet matrix."""
-    return list(m.entry(0, 0).coeffs), m.x_order
+    """(stored coefficients, x-order) of a 1 x 1 jet matrix."""
+    return [m.coefficient(0, 0, k) for k in range(len(m.nums[0][0][0]))], m.x_order
 
 
 # -- one reproducer per place a finite-order zero used to be dropped ---------------
@@ -52,7 +52,7 @@ def test_transform_keeps_the_orders_of_its_inputs():
         M = DiffOperator([scalar([-1, 1, t0], 2), scalar([1, 2, t1], 2), ONE])
         b0 = darboux_transform(M, s).transformed.coeff(0)
         assert b0.truncate(0) == a0
-        x1.add(b0.entry(0, 0).at(1))
+        x1.add(b0.coefficient(0, 0, 1))
     assert len(x1) == 3
 
 

@@ -7,6 +7,7 @@ from bellops import (
     BellTable,
     BiJet,
     DiffOperator,
+    ExprSyntaxError,
     FreeRing,
     IndexRangeError,
     Jet,
@@ -23,6 +24,7 @@ from bellops import (
     time_propagate,
     transformed_coefficients,
 )
+from bellops.parsing import parse_element
 
 RING = FreeRing(("s", "u"))
 S = RING.gen("s")
@@ -32,6 +34,8 @@ JET_L = DiffOperator([-PHI.one_like(), PHI.one_like()], PHI.realization)  # D - 
 ORDER_0 = DiffOperator([PHI.one_like()], PHI.realization)
 BIJET_COEFF = DiffOperator([MatrixJet([[BiJet([[1, 2]], 4, 1)]])], PHI.realization)
 SIDES = "side must be 'left' or 'right'"
+M2 = MatrixJet.constant([[1, 2], [3, 4]])
+OUTSIDE = "outside a 2 x 2 matrix"
 
 CASES = [
     ("BellTable.left(-1)", lambda: BellTable(S).left(-1),
@@ -77,6 +81,22 @@ CASES = [
      TypeError, "entries must all be Jet or BiJet values"),
     ("matrix plus a free element", lambda: PHI + S,
      RealizationMismatchError, "expected a MatrixJet operand"),
+    ("coefficient of entry (-1, 0)", lambda: M2.coefficient(-1, 0, 0),
+     IndexRangeError, f"entry (-1, 0) {OUTSIDE}"),
+    ("coefficient of entry (dim, 0)", lambda: M2.coefficient(2, 0, 0),
+     IndexRangeError, f"entry (2, 0) {OUTSIDE}"),
+    ("coefficient of entry (0, dim)", lambda: M2.coefficient(0, 2, 0),
+     IndexRangeError, f"entry (0, 2) {OUTSIDE}"),
+    ("coefficient of x^-1", lambda: M2.coefficient(0, 0, -1),
+     IndexRangeError, "coefficient indices must be >= 0, got x^-1 t^0"),
+    ("coefficient of t^-1", lambda: M2.coefficient(0, 0, 0, -1),
+     IndexRangeError, "coefficient indices must be >= 0, got x^0 t^-1"),
+    ("coefficient past the x-order", lambda: PHI.coefficient(0, 0, 9),
+     PrecisionExhaustedError, "coefficient x^9 beyond valid order 8"),
+    ("coefficient past the t-order", lambda: BIJET_COEFF.coeff(0).coefficient(0, 0, 0, 2),
+     PrecisionExhaustedError, "t^2 beyond valid t-order 1"),
+    ("power of a power of a number", lambda: parse_element("((7^1000)^1000)^2", {}, S),
+     ExprSyntaxError, "power of a number larger than 3322000 bits (at offset 16)"),
 ]
 
 

@@ -115,13 +115,11 @@ def _assert_agrees(free_value, jet_value, images):
 def _assert_agrees_model(model, m):
     for i, row in enumerate(model):
         for j, (d, xo, to) in enumerate(row):
-            v = m.entry(i, j)
             jx, jt = _omin(xo, m.x_order), _omin(to, m.t_order)
             assert jx is None or jx >= 0
             for a in range((SCAN if jx is None else jx) + 1):
                 for b in range((SCAN if jt is None else jt) + 1 if m.kind == "bijet" else 1):
-                    got = v.at(a, b) if isinstance(v, BiJet) else v.at(a) if b == 0 else 0
-                    assert got == d.get((a, b), 0), (i, j, a, b)
+                    assert m.coefficient(i, j, a, b) == d.get((a, b), 0), (i, j, a, b)
 
 
 @oracle

@@ -182,8 +182,8 @@ MUTANTS = [
      "ok = residual.is_zero() and burgers_residual.is_zero()", "ok = residual.is_zero()"),
     ("verify-matveev exits 0 on a failed check", "cli.py",
      "0 if report.ok else 1", "0"),
-    ("coefficient audit never reports a mismatch", "darboux.py",
-     "first = formula.mismatch(oracle)", "first = None"),
+    ("closed formula drops the pairs with n > k + 2", "darboux.py",
+     "for n in range(k + 1, n_top + 1):", "for n in range(k + 1, min(n_top, k + 2) + 1):"),
     ("transformed_coefficients: first pair (a_k, B_(k,0)) dropped", "darboux.py",
      "        yield L.coeff(k), table.gen(k, 0)\n", ""),
     ("JSON word: every letter written as the word's first", "cli.py",
@@ -216,6 +216,10 @@ MUTANTS = [
      "[[_scaled(c.nums, den // c.den)[0][0] for c in row]", "[[c.nums[0][0] for c in row]"),
     ("truncate accepts a negative order", "jets.py",
      "if min(x_order or 0, t_order or 0) < 0:", "if False:"),
+    ("coefficient reads entry (j, i)", "jets.py",
+     "e = self.nums[i][j]", "e = self.nums[j][i]"),
+    ("number-power bit bound off", "parsing.py",
+     "if exponent * bits > _MAX_NUMBER_POWER_BITS:", "if False:"),
 ]
 
 
