@@ -24,7 +24,7 @@ from .darboux import burgers_rhs, darboux_transform, matveev_verify, time_propag
 from .division import divide_left, divide_right, riccati_residual
 from .errors import KernelError
 from .free import FreeElement, FreeRing, ratio_text
-from .jets import MatrixJet, MatrixRealization, x_jet
+from .jets import MatrixJet, x_jet
 from .operators import DiffOperator
 from .parsing import MAX_POWER, parse_element, parse_entry_text, parse_operator_text
 
@@ -46,7 +46,6 @@ class Session:
             self.ring = FreeRing(generators)
             self.env = {g: self.ring.gen(g) for g in generators}
             self.one = self.ring.one
-            self.realization = self.ring
         else:
             if args.dim < 1:
                 raise KernelError("jet modes need --dim >= 1")
@@ -70,7 +69,6 @@ class Session:
                 one = one.promote()
             self.env = {"x": x}
             self.one = one
-            self.realization = MatrixRealization(args.dim)
 
     def element(self, text: str):
         return parse_element(text, self.env, self.one)
@@ -78,7 +76,7 @@ class Session:
     def operator(self, path: str) -> DiffOperator:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        return parse_operator_text(text, self.env, self.one, self.realization)
+        return parse_operator_text(text, self.env, self.one)
 
     def seed(self, path: str) -> MatrixJet:
         if self.args.ring == "free":

@@ -32,17 +32,15 @@ divides phi' by phi the Karp-Markstein way: it inverts phi only to half the
 x-order, forms the quotient there and corrects it once by its residual, in a
 short product, so no full-order inverse is built.
 
-A matrix is read one Fraction at a time, by :meth:`MatrixJet.coefficient`.
+A matrix is the only series type.  A scalar series is a 1 x 1 matrix:
 :class:`Jet` (x only) and :class:`BiJet` (t-levels that are x-jets of one
-x-order) are API-boundary values: views of 1 x 1 matrices with no storage or
-arithmetic of their own, which no package path computes through.  A jet
-answers the bi-jet interface as one exact t-level.
+x-order) are constructors that build one, and :meth:`MatrixJet.coefficient`
+reads any matrix one Fraction at a time.
 """
 
 from __future__ import annotations
 
 import operator
-from operator import attrgetter, methodcaller
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -76,179 +74,6 @@ def _omin(a: Optional[int], b: Optional[int]) -> Optional[int]:
     if b is None:
         return a
     return min(a, b)
-
-
-def _entrywise(op, *values):
-    """``op`` on the 1 x 1 matrices of ``values``, read back as an entry; integers
-    and Fractions scale under ``*`` and are exact constants otherwise.
-    NotImplemented for other operands."""
-    mats = []
-    for v in values:
-        if isinstance(v, (int, Fraction)) and op is not operator.mul:
-            v = Jet.constant(v)
-        if isinstance(v, (Jet, BiJet)):
-            v = v._m
-        elif not isinstance(v, (int, Fraction)):
-            return NotImplemented
-        mats.append(v)
-    out = op(*mats)
-    return _view(out) if isinstance(out, MatrixJet) else out
-
-
-def _lifted(op, reflected: bool = False):
-    """The series method ``self.op(*others)`` (``others.op(self)`` when reflected)."""
-    if reflected:
-        return lambda self, other: _entrywise(op, other, self)
-    return lambda self, *others: _entrywise(op, self, *others)
-
-
-def _view(m: "MatrixJet"):
-    """The 1 x 1 matrix ``m`` as its entry: a :class:`Jet` or a :class:`BiJet`."""
-    v = object.__new__(Jet if m.kind == "jet" else BiJet)
-    v._m = m
-    return v
-
-
-class Jet:
-    """Truncated power series in one variable with exact coefficients.
-
-    A jet is a view of a 1 x 1 jet-kind :class:`MatrixJet`, ``_m``: the
-    coefficient of x^k is ``nums[k] / den``, integer numerators over one positive
-    denominator in lowest terms, so equal exact jets have equal ``(nums, den)``.
-    Fractions appear only at the API boundary (the constructor, :meth:`at` and
-    :attr:`coeffs`).
-
-    A jet also answers the bi-jet interface (:attr:`x_order`, :attr:`t_order`,
-    :attr:`levels`, :meth:`truncate`) as a bi-jet with one exact t-level.
-    """
-
-    __slots__ = ("_m",)
-    t_order = None
-
-    def __init__(self, coeffs: Iterable, order: Optional[int] = None):
-        if order is not None and order < 0:
-            raise ValueError("jet order must be >= 0")
-        cs = [_frac(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        nums = [c.numerator * (den // c.denominator) for c in cs] or [0]
-        if order is not None:
-            nums = _fit(nums, order + 1)
-        self._m = MatrixJet._of("jet", [[[nums]]], den, order, None)
-
-    @classmethod
-    def constant(cls, value) -> "Jet":
-        return cls((_frac(value),), None)
-
-    nums = property(lambda self: tuple(self._m.nums[0][0][0]))
-    den = property(attrgetter("_m.den"))
-    order = x_order = property(attrgetter("_m.x_order"))
-
-    @property
-    def coeffs(self) -> tuple:
-        """The stored coefficients of x^0, x^1, ... as Fractions."""
-        return tuple(Fraction(v, self._m.den) for v in self._m.nums[0][0][0])
-
-    def at(self, k: int) -> Fraction:
-        """Coefficient of x^k; beyond storage only exact jets may answer."""
-        return self._m.coefficient(0, 0, k)
-
-    def is_zero(self) -> bool:
-        return self._m.is_zero()
-
-    @property
-    def levels(self) -> tuple:
-        return (self,)
-
-    def truncate(self, order: Optional[int], t_order: Optional[int] = None) -> "Jet":
-        """Truncate to x-order ``order``; a t-order >= 0 is ignored (the t-axis is exact)."""
-        return _entrywise(methodcaller("truncate", order, t_order), self)
-
-    # arithmetic, d and reflect (x -> -x) are the matrix operations on 1 x 1 matrices
-    __add__ = __radd__ = _lifted(operator.add)
-    __sub__, __rsub__ = _lifted(operator.sub), _lifted(operator.sub, reflected=True)
-    __mul__, __rmul__ = _lifted(operator.mul), _lifted(operator.mul, reflected=True)
-    __neg__, __eq__ = _lifted(operator.neg), _lifted(operator.eq)
-    d, reflect = _lifted(methodcaller("d")), _lifted(methodcaller("star"))
-    star = reflect  # the star of a 1 x 1 matrix
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Jet({[str(c) for c in self.coeffs]}, order={self.order})"
-
-
-class BiJet:
-    """Truncated series in t whose coefficients are x-jets of one shared x-order.
-
-    A bi-jet is a view of a 1 x 1 bi-jet-kind :class:`MatrixJet`, ``_m``;
-    ``levels[j]`` is the x-jet multiplying t^j.  Binary operations are valid to
-    the minimum orders on each axis, ``dx`` and ``dt`` each cost one order, and
-    an exact t-axis (``t_order=None``) keeps no trailing zero levels.
-    """
-
-    __slots__ = ("_m",)
-
-    def __init__(self, rows, x_order: Optional[int] = None, t_order: Optional[int] = None):
-        """``rows[i][j]`` is the coefficient of x^i t^j."""
-        if t_order is not None and t_order < 0:
-            raise ValueError("t-order must be >= 0")
-        rows = [list(r) for r in rows]
-        nt = max([len(r) for r in rows] + [1])
-        levels = [Jet([r[j] if j < len(r) else 0 for r in rows], x_order)._m for j in range(nt)]
-        self._m = MatrixJet.from_t_levels(levels, t_order)
-
-    @classmethod
-    def from_jet(cls, jet: Jet) -> "BiJet":
-        """Embed an x-jet as a t-constant bi-jet (exactly known in t)."""
-        return _view(jet._m.promote())
-
-    @classmethod
-    def constant(cls, value) -> "BiJet":
-        return cls.from_jet(Jet.constant(value))
-
-    x_order, t_order = property(attrgetter("_m.x_order")), property(attrgetter("_m.t_order"))
-
-    @property
-    def levels(self) -> tuple:
-        return tuple(map(self.level, range(len(self._m.nums[0][0]))))
-
-    @property
-    def coeffs(self):
-        """x-major grid: ``coeffs[i][j]`` is the coefficient of x^i t^j."""
-        e, den = self._m.nums[0][0], self._m.den
-        nx = max(map(len, e))
-        return tuple(tuple(Fraction(lv[i], den) if i < len(lv) else Fraction(0) for lv in e)
-                     for i in range(nx))
-
-    def level(self, j: int) -> Jet:
-        """The x-jet multiplying t^j; beyond storage only an exact t-axis may answer."""
-        m, e = self._m, self._m.nums[0][0]
-        if j < 0:
-            raise IndexRangeError(f"t-level index must be >= 0, got {j}")
-        if m.t_order is not None and j > m.t_order:
-            raise PrecisionExhaustedError(f"t^{j} beyond valid t-order {m.t_order}")
-        lv = e[j] if j < len(e) else _zeros(m.x_order)
-        return _view(MatrixJet._of("jet", [[[lv]]], m.den, m.x_order, None))
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self._m.coefficient(0, 0, i, j)
-
-    def is_zero(self) -> bool:
-        return self._m.is_zero()
-
-    def truncate(self, x_order: Optional[int], t_order: Optional[int]) -> "BiJet":
-        return _entrywise(methodcaller("truncate", x_order, t_order), self)
-
-    # arithmetic, dx, dt and reflect (x -> -x) are the matrix operations on 1 x 1 matrices
-    __add__ = __radd__ = _lifted(operator.add)
-    __sub__, __rsub__ = _lifted(operator.sub), _lifted(operator.sub, reflected=True)
-    __mul__, __rmul__ = _lifted(operator.mul), _lifted(operator.mul, reflected=True)
-    __neg__, __eq__ = _lifted(operator.neg), _lifted(operator.eq)
-    dx = d = _lifted(methodcaller("d"))
-    dt, reflect = _lifted(methodcaller("d0")), _lifted(methodcaller("star"))
-    __hash__ = None
-
-    def __repr__(self):
-        return f"BiJet(x_order={self.x_order}, t_order={self.t_order})"
 
 
 # -- numerator grids ----------------------------------------------------------------
@@ -456,22 +281,6 @@ def _sum_of_products(pairs: Sequence[tuple], low: int = 0) -> "MatrixJet":
     return MatrixJet._of(kind, nums, den, None if xo is None else xo - low, to)
 
 
-def _assembled(cells: Sequence[Sequence["MatrixJet"]]) -> "MatrixJet":
-    """The matrix with the 1 x 1 matrices ``cells[i][j]`` as entries, valid to their
-    smallest orders, a bi-jet if any is one (a jet is t-constant), over the lcm
-    of their lowest-terms denominators, which keeps the grid in lowest terms."""
-    flat = [c for row in cells for c in row]
-    xo = to = None
-    for c in flat:
-        xo, to = _omin(xo, c.x_order), _omin(to, c.t_order)
-    kind = "bijet" if any(c.kind == "bijet" for c in flat) else "jet"
-    cells = [[(c.promote() if kind == "bijet" else c).truncate(xo, to) for c in row]
-             for row in cells]
-    den = lcm(*(c.den for row in cells for c in row))
-    nums = [[_scaled(c.nums, den // c.den)[0][0] for c in row] for row in cells]
-    return MatrixJet._new(kind, nums, den, xo, to)
-
-
 def _claimed(m: "MatrixJet", xo: Optional[int]) -> "MatrixJet":
     """``m`` claimed to x-order ``xo`` >= its own by zero padding (``m`` itself at
     its own order).  This extends the order ledger, so each caller states why
@@ -535,14 +344,26 @@ class MatrixJet:
     __slots__ = ("dim", "kind", "x_order", "t_order", "nums", "den", "_stats", "_packs")
 
     def __init__(self, entries):
-        grid = [list(row) for row in entries]
-        n = len(grid)
-        if n == 0 or any(len(row) != n for row in grid):
+        """The matrix with the 1 x 1 matrices ``entries[i][j]`` as entries, valid to
+        their smallest orders, a bi-jet if any is one (a jet is t-constant), over
+        the lcm of their lowest-terms denominators, which keeps the grid in lowest
+        terms."""
+        cells = [list(row) for row in entries]
+        n = len(cells)
+        if n == 0 or any(len(row) != n for row in cells):
             raise ValueError("entries must form a non-empty square grid")
-        if not all(isinstance(v, (Jet, BiJet)) for row in grid for v in row):
-            raise TypeError("entries must all be Jet or BiJet values")
-        m = _assembled([[v._m for v in row] for row in grid])
-        self._set(m.kind, m.nums, m.den, m.x_order, m.t_order)
+        flat = [c for row in cells for c in row]
+        if not all(isinstance(c, MatrixJet) and c.dim == 1 for c in flat):
+            raise TypeError("entries must all be 1 x 1 MatrixJet values")
+        xo = to = None
+        for c in flat:
+            xo, to = _omin(xo, c.x_order), _omin(to, c.t_order)
+        kind = "bijet" if any(c.kind == "bijet" for c in flat) else "jet"
+        cells = [[(c.promote() if kind == "bijet" else c).truncate(xo, to) for c in row]
+                 for row in cells]
+        den = lcm(*(c.den for row in cells for c in row))
+        nums = [[_scaled(c.nums, den // c.den)[0][0] for c in row] for row in cells]
+        self._set(kind, nums, den, xo, to)
 
     def _set(self, kind, nums, den, xo, to):
         self.dim, self.kind, self.nums, self.den = len(nums), kind, nums, den
@@ -578,12 +399,12 @@ class MatrixJet:
         return cls([[Jet.constant(v) for v in row] for row in matrix])
 
     @classmethod
-    def scalar(cls, jet: Jet) -> "MatrixJet":
+    def scalar(cls, jet: "MatrixJet") -> "MatrixJet":
         return cls([[jet]])
 
     @classmethod
-    def diagonal(cls, jet, dim: int) -> "MatrixJet":
-        """``jet`` (a :class:`Jet` or :class:`BiJet`) times I, built by the constructor."""
+    def diagonal(cls, jet: "MatrixJet", dim: int) -> "MatrixJet":
+        """The 1 x 1 ``jet`` times I, built by the constructor."""
         if dim < 1:
             raise ValueError("a matrix needs dimension >= 1")
         zero = Jet.constant(0)
@@ -842,6 +663,8 @@ class MatrixJet:
     @staticmethod
     def from_t_levels(levels: Sequence["MatrixJet"], t_order: Optional[int]) -> "MatrixJet":
         """Assemble a bi-jet matrix from per-t-power jet-kind matrices."""
+        if not levels:
+            raise ValueError("a bi-jet needs at least one t-level; the level list is empty")
         xo = None
         for lv in levels:
             xo = _omin(xo, lv.x_order)
@@ -905,11 +728,61 @@ def log_derivative(phi: MatrixJet, side: str) -> MatrixJet:
     return s_h + _shifted(mul(_shifted(r, -cut), x_h), cut)
 
 
-def x_jet(order: Optional[int] = None) -> Jet:
+class Jet:
+    """``Jet(coeffs, order=None)`` is the truncated power series in x with the
+    exact coefficients ``coeffs`` (ints or Fractions) of x^0, x^1, ..., valid to
+    x-order ``order`` (None: exact): a 1 x 1 jet-kind :class:`MatrixJet`."""
+
+    def __new__(cls, coeffs: Iterable, order: Optional[int] = None) -> MatrixJet:
+        if order is not None and order < 0:
+            raise ValueError("jet order must be >= 0")
+        cs = [_frac(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs] or [0]
+        if order is not None:
+            nums = _fit(nums, order + 1)
+        return MatrixJet._of("jet", [[[nums]]], den, order, None)
+
+    @staticmethod
+    def constant(value) -> MatrixJet:
+        return Jet((value,))
+
+    # perfbench/tracer.py wraps these names (its per-layer ``jets.Jet.*`` and
+    # ``jets.BiJet.*`` metrics) and tests/test_tracer_targets.py guards them; no
+    # Jet or BiJet instance exists, so nothing calls them.  They go when the
+    # benchmark reads counters from the package instead.
+    __mul__, __add__, d = MatrixJet.__mul__, MatrixJet.__add__, MatrixJet.d
+    __radd__ = __add__
+
+
+class BiJet:
+    """``BiJet(rows, x_order=None, t_order=None)`` is the truncated series in t
+    whose coefficients are x-jets of one x-order, ``rows[i][j]`` the coefficient
+    of x^i t^j: a 1 x 1 bi-jet-kind :class:`MatrixJet`."""
+
+    def __new__(cls, rows, x_order: Optional[int] = None,
+                t_order: Optional[int] = None) -> MatrixJet:
+        if t_order is not None and t_order < 0:
+            raise ValueError("t-order must be >= 0")
+        rows = [list(r) for r in rows]
+        nt = max([len(r) for r in rows] + [1])
+        levels = [Jet([r[j] if j < len(r) else 0 for r in rows], x_order) for j in range(nt)]
+        return MatrixJet.from_t_levels(levels, t_order)
+
+    @staticmethod
+    def constant(value) -> MatrixJet:
+        return Jet.constant(value).promote()
+
+    # the benchmark tracer's names, as on Jet
+    __mul__, __add__ = MatrixJet.__mul__, MatrixJet.__add__
+    dx, dt = MatrixJet.d, MatrixJet.d0
+
+
+def x_jet(order: Optional[int] = None) -> MatrixJet:
     return Jet((0, 1), order)
 
 
-def exp_jet(rate, order: int) -> Jet:
+def exp_jet(rate, order: int) -> MatrixJet:
     """Truncation of exp(rate*x) to the given order; coefficients rate^k/k!."""
     rate = _frac(rate)
     coeffs = [Fraction(1)]

@@ -75,6 +75,8 @@ class DiffOperator:
         """Left-multiply every coefficient by c (ring element or scalar)."""
         if isinstance(c, (int, Fraction)):
             return DiffOperator(((a * c) for a in self.coeffs), self.realization)
+        if not isinstance(c, (MatrixJet, FreeElement)):
+            raise TypeError(f"cannot scale an operator by {type(c).__name__}")
         if c.realization != self.realization:
             raise RealizationMismatchError("scale factor lives over a different realization")
         return DiffOperator((c * a for a in self.coeffs), self.realization)

@@ -48,7 +48,7 @@ from .errors import (
     UndeclaredGeneratorError,
 )
 from .free import FreeElement
-from .jets import MatrixJet, _assembled, x_jet
+from .jets import MatrixJet, x_jet
 from .operators import DiffOperator
 
 # Deepest allowed parenthesis nesting, counting the parentheses of D(...) and
@@ -313,8 +313,9 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def parse_operator_text(text: str, env, one, realization) -> DiffOperator:
-    """Parse `a[k] = expr` lines into an operator; missing powers are zero."""
+def parse_operator_text(text: str, env, one) -> DiffOperator:
+    """Parse `a[k] = expr` lines into an operator over the ring of ``one``;
+    missing powers are zero."""
     coeffs = {}
     for lineno, line in _content_lines(text):
         m = _COEFF_LINE_RE.match(line)
@@ -332,6 +333,7 @@ def parse_operator_text(text: str, env, one, realization) -> DiffOperator:
     if not coeffs:
         raise OperatorFileError("operator file declares no coefficients", 1)
     top = max(coeffs)
+    realization = one.realization
     zero = realization.zero
     return DiffOperator([coeffs.get(k, zero) for k in range(top + 1)], realization)
 
@@ -339,7 +341,7 @@ def parse_operator_text(text: str, env, one, realization) -> DiffOperator:
 def parse_entry_text(text: str, dim: int, x_order) -> MatrixJet:
     """Parse `entry[i][j] = polynomial in x` lines into a matrix jet; each entry is
     a 1 x 1 matrix, read with ``x``, ``one`` and zero of x-order ``x_order``."""
-    env = {"x": MatrixJet.diagonal(x_jet(x_order), 1)}
+    env = {"x": x_jet(x_order)}
     one = MatrixJet.identity(1).truncate(x_order)
     entries = [[MatrixJet.zeros(1).truncate(x_order)] * dim for _ in range(dim)]
     seen = set()
@@ -357,4 +359,4 @@ def parse_entry_text(text: str, dim: int, x_order) -> MatrixJet:
             entries[i][j] = parse_element(m.group(3), env, one)
         except (ExprSyntaxError, UndeclaredGeneratorError) as exc:
             raise OperatorFileError(str(exc), lineno) from exc
-    return _assembled(entries)
+    return MatrixJet(entries)

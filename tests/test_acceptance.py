@@ -186,8 +186,8 @@ def test_c08_intertwining_defect():
 def test_c09_matveev_end_to_end():
     real = MatrixRealization(1)
     op = d_power_operator(real, 2)
-    phi0 = MatrixJet.scalar(Jet(list(exp_jet(1, 12).coeffs), 16))
-    psi0 = MatrixJet.scalar(Jet(list(exp_jet(-1, 12).coeffs), 16))
+    phi0 = MatrixJet.scalar(Jet([exp_jet(1, 12).coefficient(0, 0, k) for k in range(13)], 16))
+    psi0 = MatrixJet.scalar(Jet([exp_jet(-1, 12).coefficient(0, 0, k) for k in range(13)], 16))
     report = matveev_verify(op, phi0, psi0, 4)
     assert report.residual.is_zero()
     assert report.burgers_residual.is_zero()

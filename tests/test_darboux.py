@@ -416,8 +416,8 @@ def test_propagate_precision_ledger():
 def test_matveev_scalar_end_to_end():
     real = MatrixRealization(1)
     op = d_power_operator(real, 2)
-    phi0 = MatrixJet.scalar(Jet(list(exp_jet(1, 12).coeffs), 16))
-    psi0 = MatrixJet.scalar(Jet(list(exp_jet(-1, 12).coeffs), 16))
+    phi0 = MatrixJet.scalar(Jet([exp_jet(1, 12).coefficient(0, 0, k) for k in range(13)], 16))
+    psi0 = MatrixJet.scalar(Jet([exp_jet(-1, 12).coefficient(0, 0, k) for k in range(13)], 16))
     report = matveev_verify(op, phi0, psi0, 4)
     assert report.ok
     assert report.residual.is_zero()
@@ -440,8 +440,8 @@ def test_matveev_verify_reports_a_wrong_transform(field, monkeypatch):
         return out
 
     monkeypatch.setattr(darboux, "darboux_transform", wrong)
-    phi0 = MatrixJet.scalar(Jet(list(exp_jet(1, 12).coeffs), 16))
-    psi0 = MatrixJet.scalar(Jet(list(exp_jet(-1, 12).coeffs), 16))
+    phi0 = MatrixJet.scalar(Jet([exp_jet(1, 12).coefficient(0, 0, k) for k in range(13)], 16))
+    psi0 = MatrixJet.scalar(Jet([exp_jet(-1, 12).coefficient(0, 0, k) for k in range(13)], 16))
     report = matveev_verify(d_power_operator(MatrixRealization(1), 2), phi0, psi0, 4)
     assert report.ok is False
     assert report.residual.is_zero() is (field != "transformed")
@@ -451,7 +451,7 @@ def test_matveev_verify_reports_a_wrong_transform(field, monkeypatch):
 def test_matveev_seed_gives_zero_transform():
     real = MatrixRealization(1)
     op = d_power_operator(real, 2)
-    phi0 = MatrixJet.scalar(Jet(list(exp_jet(1, 12).coeffs), 16))
+    phi0 = MatrixJet.scalar(Jet([exp_jet(1, 12).coefficient(0, 0, k) for k in range(13)], 16))
     report = matveev_verify(op, phi0, phi0, 4)
     assert report.ok
     assert report.psi_tilde.is_zero()

@@ -164,8 +164,7 @@ def _signature(value):
     and grid, so that a changed order shows even where ``==`` holds."""
     if isinstance(value, FreeElement):
         return "FreeElement", value.den, value.nums
-    m = value if isinstance(value, MatrixJet) else value._m
-    return type(value).__name__, m.kind, m.x_order, m.t_order, m.nums, m.den
+    return type(value).__name__, value.kind, value.x_order, value.t_order, value.nums, value.den
 
 
 def _outcome(evaluate):
@@ -381,7 +380,7 @@ def test_whitespace_insensitive():
 
 
 def op_from(text):
-    return parse_operator_text(text, ENV, RING.one, RING)
+    return parse_operator_text(text, ENV, RING.one)
 
 
 def test_operator_file_basic():

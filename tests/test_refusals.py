@@ -75,10 +75,18 @@ CASES = [
      ValueError, "generator name 'D' is reserved"),
     ("jet of order -1", lambda: Jet([1], -1), ValueError, "jet order must be >= 0"),
     ("bi-jet of t-order -1", lambda: BiJet([[1]], 0, -1), ValueError, "t-order must be >= 0"),
-    ("bi-jet level past its t-order", lambda: BiJet([[1, 2]], 3, 1).level(2),
+    ("bi-jet level past its t-order", lambda: BiJet([[1, 2]], 3, 1).coefficient(0, 0, 0, 2),
      PrecisionExhaustedError, "t^2 beyond valid t-order 1"),
     ("matrix of integers", lambda: MatrixJet([[1]]),
-     TypeError, "entries must all be Jet or BiJet values"),
+     TypeError, "entries must all be 1 x 1 MatrixJet values"),
+    ("matrix of a 2 x 2 cell", lambda: MatrixJet([[MatrixJet.identity(2)]]),
+     TypeError, "entries must all be 1 x 1 MatrixJet values"),
+    ("matrix of no entries", lambda: MatrixJet([]),
+     ValueError, "entries must form a non-empty square grid"),
+    ("bi-jet matrix of no t-levels", lambda: MatrixJet.from_t_levels([], None),
+     ValueError, "a bi-jet needs at least one t-level; the level list is empty"),
+    ("operator scaled by a float", lambda: DiffOperator([MatrixJet.identity(1)]).scale(1.5),
+     TypeError, "cannot scale an operator by float"),
     ("matrix plus a free element", lambda: PHI + S,
      RealizationMismatchError, "expected a MatrixJet operand"),
     ("coefficient of entry (-1, 0)", lambda: M2.coefficient(-1, 0, 0),

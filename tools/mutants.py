@@ -212,8 +212,16 @@ MUTANTS = [
      "one = MatrixJet.identity(1).truncate(x_order)", "one = MatrixJet.identity(1)"),
     ("unlisted initial-condition entry left exact", "parsing.py",
      "[[MatrixJet.zeros(1).truncate(x_order)] * dim", "[[MatrixJet.zeros(1)] * dim"),
-    ("assembler keeps each cell's own denominator", "jets.py",
+    ("matrix constructor keeps each cell's own denominator", "jets.py",
      "[[_scaled(c.nums, den // c.den)[0][0] for c in row]", "[[c.nums[0][0] for c in row]"),
+    ("matrix constructor accepts a cell of any dimension", "jets.py",
+     "isinstance(c, MatrixJet) and c.dim == 1", "isinstance(c, MatrixJet)"),
+    ("Jet keeps coefficients past its order", "jets.py",
+     "nums = _fit(nums, order + 1)", "nums = _fit(nums, max(order + 1, len(nums)))"),
+    ("from_t_levels accepts an empty level list", "jets.py",
+     "        if not levels:\n", "        if False:\n"),
+    ("scale accepts an operand of any type", "operators.py",
+     "if not isinstance(c, (MatrixJet, FreeElement)):", "if False:"),
     ("truncate accepts a negative order", "jets.py",
      "if min(x_order or 0, t_order or 0) < 0:", "if False:"),
     ("coefficient reads entry (j, i)", "jets.py",
